@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError
+from .pose import write_matrix
 from .rhythm import RhythmEmbedding
 from .tensor import Tensor
 
@@ -99,8 +100,4 @@ def align(r: RhythmEmbedding, queries: ContextQueries) -> AlignedRhythm:
 
 
 def save_aligned(a: AlignedRhythm, path) -> None:
-    T_m, D = a.data.shape
-    lines = [f"{T_m} {D} {repr(float(a.fps_latent))}"]
-    lines += [" ".join(repr(float(v)) for v in a.data[t]) for t in range(T_m)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_matrix(path, (*a.data.shape, float(a.fps_latent)), a.data)

@@ -1,84 +1,100 @@
 """Checkpoint format: a UTF-8 manifest plus a raw little-endian float64 blob.
 
-Manifest lines:
-    dancebeat-checkpoint 1
-    config <key> <value>          (one per config field, echoed verbatim)
+Manifest lines, in this order:
+    dancebeat-checkpoint 2
+    blob <byte length> <sha256 hex digest>
+    config <key> <value>          (every RunConfig field, in field order)
     tensor <name> <d1[,d2,...]> <byte offset>
 
-The blob stores each tensor's values contiguously in manifest order, so a
-round trip is bit-exact.
+Config values are parsed by the config file's typed parser, never
+evaluated. Loading rebuilds the model, wavelet bank included, from the
+config alone, after checking the blob's length and digest; every tensor
+line must then match the rebuilt model. The blob holds each tensor's
+values contiguously in manifest order, so a round trip is bit-exact.
 """
 from __future__ import annotations
 
+import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .align import ContextQueries
-from .errors import ParseError
-from .flowgen import TrainConfig, TrainedModel, init_model
-from .pose import BeatGrid
-from .tensor import Tensor
+from .config import RunConfig, parse_value
+from .errors import ConfigError, ParseError
+from .flowgen import TrainedModel, init_model, parameter_count
+from .pose import read_lines
 
-MAGIC = "dancebeat-checkpoint 1"
+MAGIC = "dancebeat-checkpoint 2"
+
+# RunConfig fields a checkpoint fixes: model shapes, timeline and ablation switches
+MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden_a",
+              "blocks", "hidden", "heads", "latent_len", "latent_dim", "cond_dim",
+              "rhythm_mode", "align_mode")
 
 
-def _config_items(tc: TrainConfig) -> list[tuple[str, str]]:
-    return [(k, repr(v)) for k, v in vars(tc).items()]
+def _tensor_lines(model: TrainedModel) -> list[str]:
+    """The manifest records of the model's tensors, blob offsets included."""
+    lines, off = [], 0
+    for name, t in model.all_tensors():
+        lines.append(f"tensor {name} {','.join(str(d) for d in t.data.shape)} {off}")
+        off += 8 * t.data.size
+    return lines
 
 
 def save_model(model: TrainedModel, path) -> None:
     path = Path(path)
-    records = model.all_tensors()
-    records += [(f"bank.kernel_{s}", Tensor(k)) for s, k in enumerate(model.bank.kernels)]
-    lines = [MAGIC]
-    for k, v in _config_items(model.config):
-        lines.append(f"config {k} {v}")
-    blob = bytearray()
-    for name, t in records:
-        shape = ",".join(str(d) for d in t.data.shape) or "1"
-        lines.append(f"tensor {name} {shape} {len(blob)}")
-        blob.extend(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                    for _, t in model.all_tensors())
+    lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
+    lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
+    lines += _tensor_lines(model)
     path.with_suffix(".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    path.with_suffix(".bin").write_bytes(bytes(blob))
+    path.with_suffix(".bin").write_bytes(blob)
 
 
 def load_model(path) -> TrainedModel:
     path = Path(path)
-    manifest = path.with_suffix(".manifest").read_text(encoding="utf-8").splitlines()
-    if not manifest or manifest[0] != MAGIC:
-        raise ParseError(f"not a checkpoint manifest: {path}", line=1)
-    blob = path.with_suffix(".bin").read_bytes()
+    lines = read_lines(path.with_suffix(".manifest"))
+    if not lines or lines[0] != MAGIC:
+        raise ParseError(f"not a format-2 checkpoint manifest: {path}", line=1)
+    blob_rec = lines[1].split(" ") if len(lines) > 1 else []
+    if len(blob_rec) != 3 or blob_rec[0] != "blob":
+        raise ParseError("expected 'blob <byte length> <sha256>'", line=2)
 
-    cfg: dict[str, object] = {}
-    tensors: dict[str, np.ndarray] = {}
-    for ln, line in enumerate(manifest[1:], start=2):
-        if not line.strip():
-            continue
-        kind, rest = line.split(" ", 1)
-        if kind == "config":
-            key, val = rest.split(" ", 1)
-            cfg[key] = eval(val, {"__builtins__": {}})  # values written via repr()
-        elif kind == "tensor":
-            name, shape_s, off_s = rest.rsplit(" ", 2)
-            shape = tuple(int(d) for d in shape_s.split(","))
-            count = int(np.prod(shape))
-            off = int(off_s)
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-            tensors[name] = arr.copy()
-        else:
-            raise ParseError(f"unknown manifest record {kind!r}", line=ln)
+    kwargs = {}
+    for ln, f in enumerate(fields(RunConfig), start=3):
+        rec = lines[ln - 1].split(" ") if ln <= len(lines) else []
+        if len(rec) != 3 or rec[:2] != ["config", f.name]:
+            raise ParseError(f"expected 'config {f.name} <value>'", line=ln)
+        try:
+            kwargs[f.name] = parse_value(f.name, rec[2])
+        except ConfigError as e:
+            raise ParseError(str(e), line=ln)
+    try:
+        cfg = RunConfig(**kwargs)
+    except ConfigError as e:
+        raise ParseError(f"checkpoint config: {e}")
 
-    tc = TrainConfig(**cfg)
-    # latent/conditioning dims are recoverable from the stored projections
-    latent_dim = tensors["vf.lat_w"].shape[0]
-    cond_dim = tensors["vf.cond_w"].shape[0]
-    latent_len = tensors["align.queries"].shape[0]
-    model = init_model(tc, latent_dim, latent_len, cond_dim)
-    for name, t in model.all_tensors():
-        if name not in tensors:
-            raise ParseError(f"checkpoint missing tensor {name}")
-        t.data = tensors[name].copy()
-    for s in range(model.bank.scales):
-        model.bank.kernels[s] = tensors[f"bank.kernel_{s}"].copy()
+    bin_path = path.with_suffix(".bin")
+    blob = bin_path.read_bytes()
+    if blob_rec[1:] != [str(len(blob)), hashlib.sha256(blob).hexdigest()]:
+        raise ParseError(f"{bin_path} ({len(blob)} bytes) does not match the manifest's "
+                         f"recorded length and SHA-256", line=2)
+    # sized from the config only once the config is known to fit the blob
+    if 8 * parameter_count(cfg) != len(blob):
+        raise ParseError(f"the checkpoint config describes {parameter_count(cfg)} values, "
+                         f"the blob holds {len(blob) // 8}")
+    model = init_model(cfg)
+    first = 3 + len(kwargs)
+    want = _tensor_lines(model)
+    for ln, (w, g) in enumerate(zip(want + [None], lines[first - 1:] + [None]), start=first):
+        if w != g:
+            show = lambda s: "end of manifest" if s is None else repr(s)
+            raise ParseError(f"expected {show(w)}, found {show(g)}", line=ln)
+    off = 0
+    for _, t in model.all_tensors():
+        t.data = np.frombuffer(blob, dtype="<f8", count=t.data.size,
+                               offset=off).reshape(t.data.shape).copy()
+        off += 8 * t.data.size
     return model

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,37 +17,33 @@ from .errors import ConfigError, DanceBeatError
 from .pose import BeatGrid
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 def _clip_ids(data_dir: Path) -> list[str]:
     manifest = data_dir / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest.txt in {data_dir}")
-    ids = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            ids.append(line.split()[0])
-    return sorted(ids)
+    return sorted(line.split()[0] for line in pose.read_lines(manifest) if line.strip())
 
 
-def _load_dataset(data_dir: Path, cfg: RunConfig):
-    ids = _clip_ids(data_dir)
-    dataset = []
-    for cid in ids:
-        p = pose.load_pose_sequence(data_dir / f"{cid}.pose")
-        z = pose.load_latent(data_dir / f"{cid}.latent")
-        c = pose.load_conditioning(data_dir / f"{cid}.cond")
-        dataset.append((p, z, c))
-    return ids, dataset
+def _load_dataset(data_dir: Path):
+    return [(pose.load_pose_sequence(data_dir / f"{cid}.pose"),
+             pose.load_latent(data_dir / f"{cid}.latent"),
+             pose.load_conditioning(data_dir / f"{cid}.cond")) for cid in _clip_ids(data_dir)]
 
 
 def _write_runlog(path: Path, cfg: RunConfig, command: str) -> None:
     path.write_text(f"command = {command}\n{cfg.to_text()}", encoding="utf-8")
+
+
+def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:
+    """The checkpoint's model, once the run config agrees with every field
+    the checkpoint fixes."""
+    model = checkpoint.load_model(path)
+    for key in checkpoint.MODEL_KEYS:
+        ours, theirs = getattr(cfg, key), getattr(model.config, key)
+        if ours != theirs:
+            raise ConfigError(f"the run config sets {key} = {ours!r} but checkpoint "
+                              f"{path} was trained with {key} = {theirs!r}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +81,9 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 def cmd_extract(cfg: RunConfig, args) -> int:
     p = pose.load_pose_sequence(args.pose)
-    if args.ckpt:
-        model = checkpoint.load_model(args.ckpt)
-        bank, params = model.bank, model.rhythm_net
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        bank = rhythm.build_wavelet_bank(cfg.scales, cfg.base_period)
-        params = rhythm.RhythmParams.init(rng, cfg.scales, cfg.bins, cfg.rhythm_dim,
-                                        cfg.hidden_w, cfg.hidden_a)
-    r = rhythm.extract_rhythm(p, bank, params)
+    # without a checkpoint, the rhythm net an untrained model starts from
+    model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
+    r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
     rhythm.save_rhythm(r, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "extract")
     print(f"rhythm embedding {r.length}x{r.dim} -> {args.out}")
@@ -103,7 +93,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 def cmd_align(cfg: RunConfig, args) -> int:
     r = rhythm.load_rhythm(args.rhythm)
     if args.ckpt:
-        queries = checkpoint.load_model(args.ckpt).queries
+        queries = _load_checkpoint(cfg, args.ckpt).queries
     else:
         rng = np.random.default_rng(cfg.seed)
         queries = align_mod.ContextQueries.init(rng, cfg.latent_len, r.dim)
@@ -115,10 +105,9 @@ def cmd_align(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    data_dir = Path(args.data)
-    _ids, dataset = _load_dataset(data_dir, cfg)
+    dataset = _load_dataset(Path(args.data))
     t0 = time.monotonic()
-    model = flowgen.train(dataset, cfg.train_config())
+    model = flowgen.train(dataset, cfg)
     wall = time.monotonic() - t0
     checkpoint.save_model(model, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "train")
@@ -129,16 +118,15 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_generate(cfg: RunConfig, args) -> int:
-    model = checkpoint.load_model(args.ckpt)
+    model = _load_checkpoint(cfg, args.ckpt)
     p = pose.load_pose_sequence(args.pose)
     cond = pose.load_conditioning(args.cond) if args.cond else None
-    sc = cfg.sample_config()
-    z = flowgen.generate(model, p, cond, cfg.latent_len, sc,
+    z = flowgen.generate(model, p, cond, cfg.steps, cfg.cfg_scale, cfg.seed,
                          conditioned=not args.unconditional)
     pose.save_latent(z, args.out)
     if args.wav:
         grid = metrics.detect_latent_beats(z, cfg.rel_threshold,
-                                           fps=cfg.fps * cfg.latent_len / p.frames)
+                                           fps=p.fps * cfg.latent_len / p.frames)
         wav = clicktrack.render_clicks(grid, duration_s=p.frames / p.fps)
         clicktrack.write_wav(wav, args.wav)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "generate")
@@ -146,35 +134,29 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _evaluate_clips(cfg: RunConfig, data_dir: Path, latents: dict[str, pose.MusicLatent],
-                    jobs: int = 1):
+def _evaluate_clips(cfg: RunConfig, data_dir: Path, latents: dict[str, pose.MusicLatent]):
     ids = sorted(latents)
-
-    def score_one(cid: str) -> metrics.BeatScores:
+    scores = []
+    for cid in ids:
         truth = pose.load_beat_grid(data_dir / f"{cid}.beats")
-        fps_latent = cfg.fps * cfg.latent_len / truth.timeline_len
+        fps_latent = truth.fps * cfg.latent_len / truth.timeline_len
         truth_latent = BeatGrid(
             beat_frames=pose.map_to_latent(truth, cfg.latent_len),
             timeline_len=cfg.latent_len, fps=fps_latent)
         det = metrics.detect_latent_beats(latents[cid], cfg.rel_threshold, fps=fps_latent)
-        return metrics.beat_scores(det, truth_latent, cfg.window_latent)
-
-    scores = _parallel_map(score_one, ids, jobs)
+        scores.append(metrics.beat_scores(det, truth_latent, cfg.window_latent))
     return ids, scores, metrics.aggregate(scores)
 
 
 def _generate_all(cfg: RunConfig, model: flowgen.TrainedModel, data_dir: Path,
-                  conditioned: bool, jobs: int = 1) -> dict[str, pose.MusicLatent]:
-    ids = _clip_ids(data_dir)
-
-    def gen_one(item) -> pose.MusicLatent:
-        i, cid = item
+                  conditioned: bool) -> dict[str, pose.MusicLatent]:
+    latents = {}
+    for i, cid in enumerate(_clip_ids(data_dir)):
         p = pose.load_pose_sequence(data_dir / f"{cid}.pose")
         c = pose.load_conditioning(data_dir / f"{cid}.cond")
-        sc = cfg.sample_config(seed=cfg.seed + 7919 * (i + 1))
-        return flowgen.generate(model, p, c, cfg.latent_len, sc, conditioned=conditioned)
-
-    return dict(zip(ids, _parallel_map(gen_one, list(enumerate(ids)), jobs)))
+        latents[cid] = flowgen.generate(model, p, c, cfg.steps, cfg.cfg_scale,
+                                        cfg.seed + 7919 * (i + 1), conditioned=conditioned)
+    return latents
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
@@ -186,12 +168,11 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         latents = {cid: pose.load_latent(gen_dir / f"{cid}.latent")
                    for cid in _clip_ids(data_dir)}
     elif args.ckpt:
-        model = checkpoint.load_model(args.ckpt)
-        latents = _generate_all(cfg, model, data_dir,
-                                conditioned=not args.unconditional, jobs=args.jobs)
+        model = _load_checkpoint(cfg, args.ckpt)
+        latents = _generate_all(cfg, model, data_dir, conditioned=not args.unconditional)
     else:
         raise ConfigError("evaluate needs --generated or --ckpt")
-    ids, scores, agg = _evaluate_clips(cfg, data_dir, latents, jobs=args.jobs)
+    ids, scores, agg = _evaluate_clips(cfg, data_dir, latents)
     report = metrics.format_report(ids, scores, agg)
     print(report, end="")
     print(f"BCS={agg.mean_bcs:.2f} CSD={agg.csd:.2f} BHS={agg.mean_bhs:.2f} "
@@ -214,17 +195,15 @@ _ABLATION_ROWS = [
 
 def _cmd_ablation(cfg: RunConfig, args) -> int:
     """Component and rhythm-feature comparison on a train/held-out pair."""
-    from dataclasses import replace
-
     train_dir = Path(args.data)
     eval_dir = Path(args.eval_data) if args.eval_data else train_dir
-    _ids, dataset = _load_dataset(train_dir, cfg)
+    dataset = _load_dataset(train_dir)
     rows = []
     for name, overrides in _ABLATION_ROWS:
         sub = replace(cfg, **overrides)
-        model = flowgen.train(dataset, sub.train_config())
-        latents = _generate_all(sub, model, eval_dir, conditioned=True, jobs=args.jobs)
-        _cids, scores, agg = _evaluate_clips(sub, eval_dir, latents, jobs=args.jobs)
+        model = flowgen.train(dataset, sub)
+        latents = _generate_all(sub, model, eval_dir, conditioned=True)
+        _cids, scores, agg = _evaluate_clips(sub, eval_dir, latents)
         rows.append((name, agg))
         print(f"[ablation] {name}: F1={agg.mean_f1:.2f}", file=sys.stderr)
     lines = [f"{'configuration':<22}{'BCS':>8}{'CSD':>8}{'BHS':>8}{'HSD':>8}{'F1':>8}"]
@@ -246,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="desk-scale dance-to-music pipeline")
     ap.add_argument("--config", help="key=value config file")
     ap.add_argument("--seed", type=int, help="override the master seed")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel clip workers")
     ap.add_argument("--force", action="store_true", help="overwrite non-empty outputs")
     ap.add_argument("--print-config", action="store_true",
                     help="print the effective config with provenance labels and exit")
@@ -306,8 +284,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=args.seed)
         if args.print_config:
             print(cfg.to_text(labeled=True), end="")
@@ -315,12 +291,8 @@ def main(argv=None) -> int:
         if not args.command:
             ap.print_help()
             return 2
-        args.jobs = max(1, args.jobs)
         return _HANDLERS[args.command](cfg, args)
-    except DanceBeatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DanceBeatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

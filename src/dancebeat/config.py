@@ -8,27 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .flowgen import SampleConfig, TrainConfig
+from .pose import read_lines
 
-# label -> shown by --print-config
-_LABELS = {
-    "scales": "desk", "base_period": "desk", "bins": "desk", "rhythm_dim": "desk",
-    "hidden_w": "desk", "hidden_a": "desk",
-    "fps": "desk", "joints": "desk", "coords": "desk", "duration_s": "reference",
-    "amplitude": "desk", "noise_std": "desk", "beat_joint_fraction": "desk",
-    "tempo_min": "desk", "tempo_max": "desk",
-    "cond_len": "desk", "cond_dim": "desk",
-    "latent_len": "desk", "latent_dim": "desk",
-    "blocks": "desk", "hidden": "desk", "heads": "desk",
-    "batch_size": "reference", "epochs": "reference", "learning_rate": "reference",
-    "adam_beta1": "reference", "adam_beta2": "reference",
-    "cond_drop_prob": "desk", "grad_clip": "desk",
-    "rhythm_mode": "desk", "align_mode": "desk",
-    "steps": "reference", "cfg_scale": "reference",
-    "window_frames": "desk", "window_latent": "desk", "smooth_sigma": "desk",
-    "min_separation": "desk", "rel_threshold": "desk",
-    "seed": "desk",
-}
+# --print-config labels these "reference default" and every other field "desk default"
+_REFERENCE = {"duration_s", "batch_size", "epochs", "learning_rate",
+              "adam_beta1", "adam_beta2", "steps", "cfg_scale"}
 
 
 @dataclass
@@ -66,7 +50,9 @@ class RunConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.95
     cond_drop_prob: float = 0.1
-    grad_clip: float = 1.0
+    grad_clip: float = 1.0  # 0 disables clipping
+    # ablation switches: rhythm_mode in {learned, mean, binary, none},
+    # align_mode in {attn, meanpool}
     rhythm_mode: str = "learned"
     align_mode: str = "attn"
     # sampling
@@ -82,29 +68,29 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # reuse the stricter validators of the owning types
-        self.train_config()
-        self.sample_config()
+        if not 0 <= self.cond_drop_prob < 1:
+            raise ConfigError(f"cond_drop_prob must be in [0, 1), got {self.cond_drop_prob}")
+        for name in ("batch_size", "epochs", "learning_rate", "scales", "bins",
+                     "rhythm_dim", "blocks", "hidden", "heads", "hidden_w", "hidden_a",
+                     "joints", "coords", "cond_len", "cond_dim", "latent_len", "latent_dim"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.hidden % self.heads != 0:
+            raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
+        if self.rhythm_mode not in ("learned", "mean", "binary", "none"):
+            raise ConfigError(f"unknown rhythm_mode {self.rhythm_mode!r}")
+        if self.align_mode not in ("attn", "meanpool"):
+            raise ConfigError(f"unknown align_mode {self.align_mode!r}")
+        if self.steps < 1:
+            raise ConfigError(f"need at least one solver step, got {self.steps}")
+        if self.cfg_scale < 0:
+            raise ConfigError(f"guidance scale must be >= 0, got {self.cfg_scale}")
         if self.tempo_min <= 0 or self.tempo_max < self.tempo_min:
             raise ConfigError(f"bad tempo range [{self.tempo_min}, {self.tempo_max}]")
         if not 0 < self.beat_joint_fraction <= 1:
             raise ConfigError(f"beat_joint_fraction must be in (0, 1], got {self.beat_joint_fraction}")
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs,
-            learning_rate=self.learning_rate, adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2, cond_drop_prob=self.cond_drop_prob,
-            seed=self.seed, grad_clip=self.grad_clip,
-            scales=self.scales, base_period=self.base_period, bins=self.bins,
-            rhythm_dim=self.rhythm_dim, hidden_w=self.hidden_w, hidden_a=self.hidden_a,
-            blocks=self.blocks, hidden=self.hidden, heads=self.heads,
-            rhythm_mode=self.rhythm_mode, align_mode=self.align_mode,
-        )
-
-    def sample_config(self, seed: int | None = None) -> SampleConfig:
-        return SampleConfig(steps=self.steps, cfg_scale=self.cfg_scale,
-                            seed=self.seed if seed is None else seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_text(self, labeled: bool = False) -> str:
         lines = []
@@ -112,34 +98,42 @@ class RunConfig:
             v = getattr(self, f.name)
             line = f"{f.name} = {v!r}"
             if labeled:
-                line += f"  # {_LABELS.get(f.name, 'desk')} default"
+                line += f"  # {'reference' if f.name in _REFERENCE else 'desk'} default"
             lines.append(line)
         return "\n".join(lines) + "\n"
 
 
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def parse_value(key: str, val: str):
+    """The typed value of one config entry, parsed as its field's type."""
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    typ = _TYPES[key]
+    if typ is str:
+        # to_text() writes strings via repr, so accept quoted values
+        if len(val) >= 2 and val[0] == val[-1] and val[0] in "'\"":
+            val = val[1:-1]
+        return val
+    try:
+        return typ(val)
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key}: {e}")
+
+
 def load_config(path) -> RunConfig:
     """Parse a key=value config file; unknown keys are rejected."""
-    known = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-            typ = type(getattr(RunConfig(), key))
-            try:
-                if typ is str:
-                    # to_text() writes strings via repr, so accept quoted values
-                    if len(val) >= 2 and val[0] == val[-1] and val[0] in "'\"":
-                        val = val[1:-1]
-                    kwargs[key] = val
-                else:
-                    kwargs[key] = typ(val)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{ln}: bad value for {key}: {e}")
+    for ln, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        try:
+            kwargs[key] = parse_value(key, val)
+        except ConfigError as e:
+            raise ConfigError(f"{path}:{ln}: {e}")
     return RunConfig(**kwargs)

@@ -9,16 +9,18 @@ the rhythm extractor, and the alignment queries with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tz
-from .align import AlignedRhythm, ContextQueries, align_tensor, segment_spans
+from .align import ContextQueries, align_tensor, segment_spans
+from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .pose import ConditioningFeatures, MusicLatent, PoseSequence
-from .rhythm import (ClipRhythmFeatures, RhythmParams, WaveletBank,
-                     build_wavelet_bank, clip_features, rhythm_core_tensor)
+from .rhythm import (ClipRhythmFeatures, RhythmParams, WaveletBank, baseline_binary_rhythm,
+                     baseline_mean_rhythm, build_wavelet_bank, clip_features,
+                     rhythm_core_tensor)
 from .tensor import Tape, Tensor, backward
 
 TIME_FREQ_SCALE = 1000.0  # spreads t in [0,1] across the sinusoid spectrum
@@ -44,36 +46,37 @@ class TransformerBlock:
     fb2: Tensor
 
     def tensors(self, prefix: str) -> list[tuple[str, Tensor]]:
-        names = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "ln2_g", "ln2_b", "f1", "fb1", "f2", "fb2")
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
+        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
 class VelocityFieldParams:
-    blocks: int
-    hidden: int
     heads: int
-    latent_dim: int
-    rhythm_dim: int
-    cond_dim: int
-    time_w1: Tensor = None
-    time_b1: Tensor = None
-    time_w2: Tensor = None
-    time_b2: Tensor = None
-    cond_w: Tensor = None
-    cond_b: Tensor = None
-    null_cond: Tensor = None
-    rhythm_w: Tensor = None
-    rhythm_b: Tensor = None
-    null_rhythm: Tensor = None
-    lat_w: Tensor = None
-    lat_b: Tensor = None
-    layers: list[TransformerBlock] = field(default_factory=list)
-    out_g: Tensor = None
-    out_b: Tensor = None
-    head_w: Tensor = None
-    head_b: Tensor = None
+    time_w1: Tensor
+    time_b1: Tensor
+    time_w2: Tensor
+    time_b2: Tensor
+    cond_w: Tensor
+    cond_b: Tensor
+    null_cond: Tensor
+    rhythm_w: Tensor
+    rhythm_b: Tensor
+    null_rhythm: Tensor
+    lat_w: Tensor
+    lat_b: Tensor
+    layers: list[TransformerBlock]
+    out_g: Tensor
+    out_b: Tensor
+    head_w: Tensor
+    head_b: Tensor
+
+    @property
+    def latent_dim(self) -> int:
+        return self.lat_w.shape[0]
+
+    @property
+    def hidden(self) -> int:
+        return self.lat_w.shape[1]
 
     @classmethod
     def init(cls, rng: np.random.Generator, blocks: int, hidden: int, heads: int,
@@ -81,46 +84,40 @@ class VelocityFieldParams:
         if hidden % heads != 0:
             raise ConfigError(f"hidden size {hidden} not divisible by {heads} heads")
         ff = 4 * hidden
-        p = cls(blocks=blocks, hidden=hidden, heads=heads, latent_dim=latent_dim,
-                rhythm_dim=rhythm_dim, cond_dim=cond_dim)
-        p.time_w1 = tz.init_uniform(rng, (hidden, hidden), hidden)
-        p.time_b1 = tz.zeros(hidden)
-        p.time_w2 = tz.init_uniform(rng, (hidden, hidden), hidden)
-        p.time_b2 = tz.zeros(hidden)
-        p.cond_w = tz.init_uniform(rng, (cond_dim, hidden), cond_dim)
-        p.cond_b = tz.zeros(hidden)
-        p.null_cond = tz.init_uniform(rng, (1, hidden), hidden)
-        p.rhythm_w = tz.init_uniform(rng, (rhythm_dim, hidden), rhythm_dim)
-        p.rhythm_b = tz.zeros(hidden)
-        p.null_rhythm = tz.init_uniform(rng, (1, hidden), hidden)
-        p.lat_w = tz.init_uniform(rng, (latent_dim, hidden), latent_dim)
-        p.lat_b = tz.zeros(hidden)
-        for _ in range(blocks):
-            p.layers.append(TransformerBlock(
-                ln1_g=Tensor(np.ones(hidden), requires_grad=True), ln1_b=tz.zeros(hidden),
-                wq=tz.init_uniform(rng, (hidden, hidden), hidden), bq=tz.zeros(hidden),
-                wk=tz.init_uniform(rng, (hidden, hidden), hidden), bk=tz.zeros(hidden),
-                wv=tz.init_uniform(rng, (hidden, hidden), hidden), bv=tz.zeros(hidden),
-                wo=tz.init_uniform(rng, (hidden, hidden), hidden), bo=tz.zeros(hidden),
-                ln2_g=Tensor(np.ones(hidden), requires_grad=True), ln2_b=tz.zeros(hidden),
-                f1=tz.init_uniform(rng, (hidden, ff), hidden), fb1=tz.zeros(ff),
-                f2=tz.init_uniform(rng, (ff, hidden), ff), fb2=tz.zeros(hidden),
-            ))
-        p.out_g = Tensor(np.ones(hidden), requires_grad=True)
-        p.out_b = tz.zeros(hidden)
-        p.head_w = tz.init_uniform(rng, (hidden, latent_dim), hidden)
-        p.head_b = tz.zeros(latent_dim)
-        return p
+        # keyword arguments evaluate in order, which fixes the draws from rng
+        w = lambda fan_in, fan_out: tz.init_uniform(rng, (fan_in, fan_out), fan_in)
+        ones = lambda: Tensor(np.ones(hidden), requires_grad=True)
+        return cls(
+            heads=heads,
+            time_w1=w(hidden, hidden), time_b1=tz.zeros(hidden),
+            time_w2=w(hidden, hidden), time_b2=tz.zeros(hidden),
+            cond_w=w(cond_dim, hidden), cond_b=tz.zeros(hidden),
+            null_cond=tz.init_uniform(rng, (1, hidden), hidden),
+            rhythm_w=w(rhythm_dim, hidden), rhythm_b=tz.zeros(hidden),
+            null_rhythm=tz.init_uniform(rng, (1, hidden), hidden),
+            lat_w=w(latent_dim, hidden), lat_b=tz.zeros(hidden),
+            layers=[TransformerBlock(
+                ln1_g=ones(), ln1_b=tz.zeros(hidden),
+                wq=w(hidden, hidden), bq=tz.zeros(hidden),
+                wk=w(hidden, hidden), bk=tz.zeros(hidden),
+                wv=w(hidden, hidden), bv=tz.zeros(hidden),
+                wo=w(hidden, hidden), bo=tz.zeros(hidden),
+                ln2_g=ones(), ln2_b=tz.zeros(hidden),
+                f1=w(hidden, ff), fb1=tz.zeros(ff),
+                f2=w(ff, hidden), fb2=tz.zeros(hidden),
+            ) for _ in range(blocks)],
+            out_g=ones(), out_b=tz.zeros(hidden),
+            head_w=w(hidden, latent_dim), head_b=tz.zeros(latent_dim),
+        )
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         out = []
-        for n in ("time_w1", "time_b1", "time_w2", "time_b2", "cond_w", "cond_b",
-                  "null_cond", "rhythm_w", "rhythm_b", "null_rhythm", "lat_w", "lat_b"):
-            out.append((n, getattr(self, n)))
-        for i, blk in enumerate(self.layers):
-            out.extend(blk.tensors(f"block{i}"))
-        out.extend([("out_g", self.out_g), ("out_b", self.out_b),
-                    ("head_w", self.head_w), ("head_b", self.head_b)])
+        for f in fields(self):
+            if f.name == "layers":
+                for i, blk in enumerate(self.layers):
+                    out.extend(blk.tensors(f"block{i}"))
+            elif f.type == "Tensor":
+                out.append((f.name, getattr(self, f.name)))
         return out
 
 
@@ -151,7 +148,7 @@ def velocity(params: VelocityFieldParams, z_t, t: float,
     with rhythm features added positionwise]. Null rhythm/conditioning are
     replaced by learned null tokens.
     """
-    z = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t, dtype=np.float64))
+    z = tz.as_tensor(z_t)
     T_m, d = z.shape
     if d != params.latent_dim:
         raise ConfigError(f"latent dim {d} != model dim {params.latent_dim}")
@@ -164,8 +161,9 @@ def velocity(params: VelocityFieldParams, z_t, t: float,
         ct = params.null_cond
     else:
         cdata = cond.data if isinstance(cond, (ConditioningFeatures,)) else np.asarray(cond)
-        if cdata.shape[1] != params.cond_dim:
-            raise ConfigError(f"conditioning dim {cdata.shape[1]} != model dim {params.cond_dim}")
+        if cdata.shape[1] != params.cond_w.shape[0]:
+            raise ConfigError(f"conditioning dim {cdata.shape[1]} != model dim "
+                              f"{params.cond_w.shape[0]}")
         ct = tz.linear(Tensor(cdata), params.cond_w, params.cond_b)
 
     lat = tz.linear(z, params.lat_w, params.lat_b)
@@ -173,10 +171,7 @@ def velocity(params: VelocityFieldParams, z_t, t: float,
     if rhythm is None:
         lat = tz.add(lat, params.null_rhythm)
     else:
-        if isinstance(rhythm, AlignedRhythm):
-            rhythm = Tensor(rhythm.data)
-        elif not isinstance(rhythm, Tensor):
-            rhythm = Tensor(np.asarray(rhythm, dtype=np.float64))
+        rhythm = tz.as_tensor(rhythm)
         if rhythm.shape[0] != T_m:
             raise ConfigError(
                 f"rhythm length {rhythm.shape[0]} != latent length {T_m}")
@@ -200,43 +195,27 @@ def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.n
     return v_uncond + scale * (v_cond - v_uncond)
 
 
-@dataclass
-class SampleConfig:
-    steps: int = 32
-    cfg_scale: float = 4.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"need at least one solver step, got {self.steps}")
-        if self.cfg_scale < 0:
-            raise ConfigError(f"guidance scale must be >= 0, got {self.cfg_scale}")
-
-
 def euler_sample(params: VelocityFieldParams | None, rhythm, cond, latent_len: int,
-                 sc: SampleConfig, velocity_fn=None, latent_dim: int | None = None) -> MusicLatent:
+                 steps: int, cfg_scale: float, seed: int, velocity_fn=None,
+                 latent_dim: int | None = None) -> MusicLatent:
     """Integrate dz/dt = v(z, t) from a standard-normal draw at t=0 to t=1
-    with `steps` fixed Euler steps; deterministic for a fixed seed.
+    with `steps` fixed Euler steps under guidance scale `cfg_scale`;
+    deterministic for a fixed seed.
 
     `velocity_fn(z, t, rhythm, cond) -> ndarray` overrides the model field
     (used by solver-accuracy oracles); `latent_dim` is then required.
     """
-    if velocity_fn is None:
-        vf = lambda z, t, r, c: velocity(params, z, t, r, c).data
-        dim = params.latent_dim
-    else:
-        vf = velocity_fn
-        dim = latent_dim if latent_dim is not None else params.latent_dim
-    rng = np.random.default_rng(sc.seed)
-    z = rng.standard_normal((latent_len, dim))
-    dt = 1.0 / sc.steps
+    vf = velocity_fn or (lambda z, t, r, c: velocity(params, z, t, r, c).data)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((latent_len, latent_dim or params.latent_dim))
+    dt = 1.0 / steps
     unconditional = rhythm is None and cond is None
-    for k in range(sc.steps):
-        t_k = k / sc.steps
+    for k in range(steps):
+        t_k = k / steps
         if unconditional:
             v = vf(z, t_k, None, None)
         else:
-            v = cfg_velocity(vf(z, t_k, rhythm, cond), vf(z, t_k, None, None), sc.cfg_scale)
+            v = cfg_velocity(vf(z, t_k, rhythm, cond), vf(z, t_k, None, None), cfg_scale)
         z = z + dt * v
     return MusicLatent(data=z)
 
@@ -246,52 +225,12 @@ def euler_sample(params: VelocityFieldParams | None, rhythm, cond, latent_len: i
 
 
 @dataclass
-class TrainConfig:
-    batch_size: int = 4
-    epochs: int = 100
-    learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    cond_drop_prob: float = 0.1
-    seed: int = 0
-    grad_clip: float = 1.0  # 0 disables clipping
-    # desk-scale shape overrides
-    scales: int = 4
-    base_period: float = 4.0
-    bins: int = 8
-    rhythm_dim: int = 64
-    hidden_w: int = 16
-    hidden_a: int = 16
-    blocks: int = 2
-    hidden: int = 64
-    heads: int = 4
-    # ablation switches: rhythm_mode in {learned, mean, binary, none},
-    # align_mode in {attn, meanpool}
-    rhythm_mode: str = "learned"
-    align_mode: str = "attn"
-
-    def __post_init__(self):
-        if not 0 <= self.cond_drop_prob < 1:
-            raise ConfigError(f"cond_drop_prob must be in [0, 1), got {self.cond_drop_prob}")
-        for name in ("batch_size", "epochs", "learning_rate", "scales", "bins",
-                     "rhythm_dim", "blocks", "hidden", "heads"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.hidden % self.heads != 0:
-            raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
-        if self.rhythm_mode not in ("learned", "mean", "binary", "none"):
-            raise ConfigError(f"unknown rhythm_mode {self.rhythm_mode!r}")
-        if self.align_mode not in ("attn", "meanpool"):
-            raise ConfigError(f"unknown align_mode {self.align_mode!r}")
-
-
-@dataclass
 class TrainedModel:
     vf: VelocityFieldParams
     rhythm_net: RhythmParams
     queries: ContextQueries
     bank: WaveletBank
-    config: TrainConfig
+    config: RunConfig
     loss_history: list[float]
 
     def all_tensors(self) -> list[tuple[str, Tensor]]:
@@ -309,7 +248,7 @@ def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
 
 
 def rhythm_condition_tensor(feats: ClipRhythmFeatures, baseline: np.ndarray | None,
-                            model: "TrainedModel", latent_len: int) -> Tensor | None:
+                            model: "TrainedModel") -> Tensor | None:
     """Aligned rhythm conditioning for one clip, or None in 'none' mode."""
     mode = model.config.rhythm_mode
     if mode == "none":
@@ -320,7 +259,7 @@ def rhythm_condition_tensor(feats: ClipRhythmFeatures, baseline: np.ndarray | No
         r = Tensor(baseline)
     if model.config.align_mode == "attn":
         return align_tensor(r, model.queries)
-    return mean_pool_align(r, latent_len)
+    return mean_pool_align(r, model.config.latent_len)
 
 
 def cfm_loss(model: TrainedModel, z1: np.ndarray, z0: np.ndarray, t: float,
@@ -371,8 +310,6 @@ def _clip_global_norm(tensors: list[Tensor], max_norm: float) -> None:
 
 
 def _baseline_rhythm(pose: PoseSequence, mode: str, dim: int) -> np.ndarray | None:
-    from .rhythm import baseline_binary_rhythm, baseline_mean_rhythm
-
     if mode == "mean":
         return baseline_mean_rhythm(pose, dim)
     if mode == "binary":
@@ -380,64 +317,76 @@ def _baseline_rhythm(pose: PoseSequence, mode: str, dim: int) -> np.ndarray | No
     return None
 
 
-def init_model(tc: TrainConfig, latent_dim: int, latent_len: int,
-               cond_dim: int) -> TrainedModel:
-    rng = np.random.default_rng(tc.seed)
-    bank = build_wavelet_bank(tc.scales, tc.base_period)
-    rhythm_net = RhythmParams.init(rng, tc.scales, tc.bins, tc.rhythm_dim, tc.hidden_w, tc.hidden_a)
-    queries = ContextQueries.init(rng, latent_len, tc.rhythm_dim)
-    vf = VelocityFieldParams.init(rng, tc.blocks, tc.hidden, tc.heads,
-                                  latent_dim, tc.rhythm_dim, cond_dim)
+def parameter_count(cfg: RunConfig) -> int:
+    """Number of float64 values in the tensors of init_model(cfg), worked
+    out without allocating them."""
+    S, D, h, b, ld = cfg.scales, cfg.rhythm_dim, cfg.hidden, cfg.blocks, cfg.latent_dim
+    rhythm_net = ((1 + S) * cfg.hidden_w + 2 * cfg.hidden_w + (cfg.bins + 1) * S * D + D
+                  + D * cfg.hidden_a + 2 * cfg.hidden_a + 2)
+    vf = (2 + 12 * b) * h * h + (cfg.cond_dim + D + 2 * ld + 9 + 13 * b) * h + ld
+    return rhythm_net + cfg.latent_len * D + vf
+
+
+def init_model(cfg: RunConfig) -> TrainedModel:
+    rng = np.random.default_rng(cfg.seed)
+    bank = build_wavelet_bank(cfg.scales, cfg.base_period)
+    rhythm_net = RhythmParams.init(rng, cfg.scales, cfg.bins, cfg.rhythm_dim,
+                                   cfg.hidden_w, cfg.hidden_a)
+    queries = ContextQueries.init(rng, cfg.latent_len, cfg.rhythm_dim)
+    vf = VelocityFieldParams.init(rng, cfg.blocks, cfg.hidden, cfg.heads,
+                                  cfg.latent_dim, cfg.rhythm_dim, cfg.cond_dim)
     return TrainedModel(vf=vf, rhythm_net=rhythm_net, queries=queries, bank=bank,
-                        config=tc, loss_history=[])
+                        config=cfg, loss_history=[])
 
 
 def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
-          tc: TrainConfig) -> TrainedModel:
+          cfg: RunConfig) -> TrainedModel:
     """Joint Adam optimization of all three parameter groups on the CFM loss.
 
-    Deterministic for a fixed config seed. Raises NumericalError when a
-    batch loss goes non-finite.
+    Deterministic for a fixed config seed. Raises ConfigError when a clip's
+    latent shape or conditioning width differs from the config, and
+    NumericalError when a batch loss goes non-finite.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
-    latent_len, latent_dim = dataset[0][1].data.shape
-    cond_dim = dataset[0][2].data.shape[1]
     for pose, z, c in dataset:
-        if z.data.shape != (latent_len, latent_dim) or c.data.shape[1] != cond_dim:
-            raise ConfigError("dataset shapes are inconsistent")
+        if z.data.shape != (cfg.latent_len, cfg.latent_dim) or c.data.shape[1] != cfg.cond_dim:
+            raise ConfigError(
+                f"dataset clip has latent {z.data.shape} and conditioning width "
+                f"{c.data.shape[1]}; the config says ({cfg.latent_len}, {cfg.latent_dim}) "
+                f"and {cfg.cond_dim}")
 
-    model = init_model(tc, latent_dim, latent_len, cond_dim)
-    feats = [clip_features(pose, model.bank, tc.bins) if tc.rhythm_mode == "learned" else None
+    model = init_model(cfg)
+    feats = [clip_features(pose, model.bank, cfg.bins) if cfg.rhythm_mode == "learned" else None
              for pose, _, _ in dataset]
-    baselines = [_baseline_rhythm(pose, tc.rhythm_mode, tc.rhythm_dim)
+    baselines = [_baseline_rhythm(pose, cfg.rhythm_mode, cfg.rhythm_dim)
                  for pose, _, _ in dataset]
 
     trainable = [t for _, t in model.all_tensors()]
-    if tc.rhythm_mode != "learned":
+    if cfg.rhythm_mode != "learned":
         trainable = [t for n, t in model.all_tensors() if not n.startswith("rhythm.")]
-    if tc.align_mode != "attn" or tc.rhythm_mode == "none":
+    if cfg.align_mode != "attn" or cfg.rhythm_mode == "none":
         trainable = [t for t in trainable if t is not model.queries.data]
-    opt = Adam(trainable, tc.learning_rate, tc.adam_beta1, tc.adam_beta2)
-    rng = np.random.default_rng(tc.seed + 1)
+    opt = Adam(trainable, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
+    rng = np.random.default_rng(cfg.seed + 1)
 
-    for epoch in range(tc.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         epoch_losses = []
-        for b0 in range(0, len(dataset), tc.batch_size):
-            batch = order[b0:b0 + tc.batch_size]
+        for b0 in range(0, len(dataset), cfg.batch_size):
+            batch = order[b0:b0 + cfg.batch_size]
             opt.zero_grad()
             batch_loss = 0.0
             for i in batch:
                 pose, z1, cond = dataset[i]
                 t = float(rng.uniform())
                 z0 = rng.standard_normal(z1.data.shape)
-                drop = tc.cond_drop_prob > 0 and rng.uniform() < tc.cond_drop_prob
+                drop = cfg.cond_drop_prob > 0 and rng.uniform() < cfg.cond_drop_prob
                 with Tape():
                     if drop:
                         rcond, vcond = None, None
                     else:
-                        rcond = rhythm_condition_tensor(feats[i], baselines[i], model, latent_len)
+                        rcond = rhythm_condition_tensor(feats[i], baselines[i], model)
                         vcond = cond
                     loss = tz.mul(cfm_loss(model, z1.data, z0, t, rcond, vcond),
                                   1.0 / len(batch))
@@ -445,9 +394,9 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                 batch_loss += float(loss.data) * len(batch)
             if not math.isfinite(batch_loss):
                 raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // tc.batch_size}")
-            if tc.grad_clip > 0:
-                _clip_global_norm(trainable, tc.grad_clip)
+                    f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
+            if cfg.grad_clip > 0:
+                _clip_global_norm(trainable, cfg.grad_clip)
             opt.step()
             epoch_losses.append(batch_loss / len(batch))
         model.loss_history.append(float(np.mean(epoch_losses)))
@@ -455,15 +404,15 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
 
 
 def generate(model: TrainedModel, pose: PoseSequence, cond: ConditioningFeatures | None,
-             latent_len: int, sc: SampleConfig, conditioned: bool = True) -> MusicLatent:
-    """Sample a latent for one clip, conditioning on its rhythm unless
-    `conditioned` is False (null-token generation)."""
+             steps: int, cfg_scale: float, seed: int, conditioned: bool = True) -> MusicLatent:
+    """Sample a latent for one clip with `steps` Euler steps at guidance
+    scale `cfg_scale`, conditioning on its rhythm unless `conditioned` is
+    False (null-token generation)."""
+    mc = model.config
     rhythm_cond = None
-    if conditioned and model.config.rhythm_mode != "none":
-        f = clip_features(pose, model.bank, model.config.bins) \
-            if model.config.rhythm_mode == "learned" else None
-        base = _baseline_rhythm(pose, model.config.rhythm_mode, model.config.rhythm_dim)
-        rhythm_cond = rhythm_condition_tensor(f, base, model, latent_len)
-        rhythm_cond = Tensor(rhythm_cond.data) if rhythm_cond is not None else None
+    if conditioned and mc.rhythm_mode != "none":
+        f = clip_features(pose, model.bank, mc.bins) if mc.rhythm_mode == "learned" else None
+        base = _baseline_rhythm(pose, mc.rhythm_mode, mc.rhythm_dim)
+        rhythm_cond = Tensor(rhythm_condition_tensor(f, base, model).data)
     vcond = cond if conditioned else None
-    return euler_sample(model.vf, rhythm_cond, vcond, latent_len, sc)
+    return euler_sample(model.vf, rhythm_cond, vcond, mc.latent_len, steps, cfg_scale, seed)

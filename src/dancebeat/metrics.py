@@ -52,10 +52,9 @@ def gaussian_smooth(signal: np.ndarray, sigma: float) -> np.ndarray:
     return np.correlate(signal[idx], k, mode="valid")
 
 
-def _suppress(candidates: list[int], values: np.ndarray, min_separation: int,
-              keep_deepest: bool) -> list[int]:
-    """Greedy separation filter, preferring deeper minima / taller peaks."""
-    order = sorted(candidates, key=lambda t: values[t], reverse=not keep_deepest)
+def _suppress(candidates: list[int], values: np.ndarray, min_separation: int) -> list[int]:
+    """Greedy separation filter, preferring deeper minima."""
+    order = sorted(candidates, key=lambda t: values[t])
     kept: list[int] = []
     for t in order:
         if all(abs(t - u) >= min_separation for u in kept):
@@ -70,7 +69,7 @@ def detect_dance_beats(p: PoseSequence, smooth_sigma: float = 2.0,
     s = gaussian_smooth(motion_diff(p).magnitude.sum(axis=1), smooth_sigma)
     beats = local_minima(s)
     if min_separation > 1:
-        beats = _suppress(beats, s, min_separation, keep_deepest=True)
+        beats = _suppress(beats, s, min_separation)
     return BeatGrid(beat_frames=beats, timeline_len=p.frames, fps=p.fps)
 
 
@@ -134,21 +133,6 @@ def aggregate(scores: list[BeatScores]) -> ScoreAggregate:
     hsd = float(bhs.std(ddof=1)) if len(scores) > 1 else 0.0
     return ScoreAggregate(mean_bcs=float(bcs.mean()), mean_bhs=float(bhs.mean()),
                           mean_f1=float(f1.mean()), csd=csd, hsd=hsd)
-
-
-def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
-    """Brute-force maximum one-to-one matching (oracle for small grids)."""
-
-    def rec(i: int, used: int) -> int:
-        if i == len(gen):
-            return 0
-        best = rec(i + 1, used)
-        for j, t in enumerate(truth):
-            if not used & (1 << j) and abs(gen[i] - t) <= window:
-                best = max(best, 1 + rec(i + 1, used | (1 << j)))
-        return best
-
-    return rec(0, 0)
 
 
 def format_report(clip_ids: list[str], scores: list[BeatScores],

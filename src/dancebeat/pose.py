@@ -37,14 +37,6 @@ class PoseSequence:
     def frames(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def joints(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def coords(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass
 class MotionField:
@@ -64,6 +56,8 @@ class BeatGrid:
 
     def __post_init__(self):
         self.beat_frames = [int(f) for f in self.beat_frames]
+        if self.timeline_len < 1:
+            raise ConfigError(f"beat timeline length must be positive, got {self.timeline_len}")
         prev = -1
         for f in self.beat_frames:
             if not (0 <= f < self.timeline_len):
@@ -74,31 +68,29 @@ class BeatGrid:
 
 
 @dataclass
-class ConditioningFeatures:
+class _Matrix:
+    """A finite 2-D float64 array."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        if self.data.ndim != 2:
+            raise ConfigError(f"{self.what} must be 2-D, got shape {self.data.shape}")
+        if not np.isfinite(self.data).all():
+            raise ConfigError(f"{self.what} contains non-finite values")
+
+
+class ConditioningFeatures(_Matrix):
     """Precomputed or synthetic per-frame conditioning vectors (T_v x D_v)."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ConfigError(f"conditioning must be T_v x D_v, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ConfigError("conditioning contains non-finite values")
+    what = "conditioning"
 
 
-@dataclass
-class MusicLatent:
+class MusicLatent(_Matrix):
     """T_m x d latent sequence; the generation target."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ConfigError(f"latent must be T_m x d, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ConfigError("latent contains non-finite values")
+    what = "latent"
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +222,23 @@ def synth_conditioning(length: int, dim: int, seed: int = 0) -> ConditioningFeat
 # ---------------------------------------------------------------------------
 # text formats
 #
-# Pose file: line 1 header "T J C fps", then T lines of J*C decimals.
-# Conditioning file: line 1 "T_v D_v", then T_v lines of D_v decimals.
+# Matrix files share one layout: a header line, then one line of decimals
+# per row. Its first field counts the rows; the product of its other
+# integer fields is the row width.
+# Pose file: header "T J C fps", then T lines of J*C decimals.
+# Conditioning file: header "T_v D_v", then T_v lines of D_v decimals.
+# Latent file: header "T_m d", then T_m lines of d decimals.
 # BeatGrid file: line 1 "timeline_len fps", line 2 space-separated frames.
-# Latent file: line 1 "T_m d", then T_m lines of d decimals.
+
+
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines; undecodable bytes are a ParseError."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: invalid UTF-8", line=raw.count(b"\n", 0, e.start) + 1)
 
 
 def _fmt_row(row: np.ndarray) -> str:
@@ -253,61 +258,70 @@ def _parse_floats(text: str, n: int, line_no: int, what: str) -> np.ndarray:
     return vals
 
 
-def save_pose_sequence(p: PoseSequence, path) -> None:
-    T, J, C = p.data.shape
-    lines = [f"{T} {J} {C} {repr(float(p.fps))}"]
-    for t in range(T):
-        lines.append(_fmt_row(p.data[t].reshape(-1)))
+def write_matrix(path, head: tuple, rows: np.ndarray) -> None:
+    """Write `head` (ints as-is, floats via repr) on line 1, then one line of
+    exactly round-tripping decimals per row of the 2-D `rows`."""
+    fields = (repr(float(v)) if isinstance(v, float) else str(v) for v in head)
+    lines = [" ".join(fields)] + [_fmt_row(r) for r in rows]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def load_pose_sequence(path, fps: float | None = None) -> PoseSequence:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty pose file", line=1)
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ParseError("header must be 'T J C fps'", line=1)
+def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[list, np.ndarray]:
+    """Parse a matrix file whose header holds the fields named in `header`,
+    all positive integers except the last `floats`, which are finite floats.
+
+    Every row is parsed against the width before anything is sized from the
+    header. Returns (header values, (rows, width) array).
+    """
+    lines = read_lines(path)
+    names = header.split()
+    head = lines[0].split() if lines else []
+    if len(head) != len(names):
+        raise ParseError(f"header must be {header!r}", line=1)
+    n_int = len(names) - floats
     try:
-        T, J, C = int(head[0]), int(head[1]), int(head[2])
-        file_fps = float(head[3])
+        values = [int(v) for v in head[:n_int]] + [float(v) for v in head[n_int:]]
     except ValueError as e:
         raise ParseError(f"bad header: {e}", line=1)
+    if min(values[:n_int]) < 1 or not np.isfinite(values[n_int:]).all():
+        raise ParseError(f"bad header {lines[0]!r}: sizes must be positive, floats finite",
+                         line=1)
+    width = math.prod(values[1:n_int])
+    rows = [_parse_floats(text, width, ln, f"{what} {ln - 2}")
+            for ln, text in enumerate(lines[1:], start=2)]
+    if len(rows) != values[0]:
+        raise ParseError(f"expected {values[0]} {what}s, file has {len(rows)}",
+                         line=len(lines))
+    return values, np.array(rows)
+
+
+def save_pose_sequence(p: PoseSequence, path) -> None:
+    T, J, C = p.data.shape
+    write_matrix(path, (T, J, C, float(p.fps)), p.data.reshape(T, J * C))
+
+
+def load_pose_sequence(path) -> PoseSequence:
+    (T, J, C, fps), rows = read_matrix(path, "T J C fps", floats=1, what="frame")
     if T < 2:
         raise ParseError(f"pose sequence needs T >= 2 frames, header says T={T}", line=1)
-    if len(lines) < 1 + T:
-        raise ParseError(f"expected {T} frame lines, file has {len(lines) - 1}", line=len(lines))
-    data = np.empty((T, J, C))
-    for t in range(T):
-        row = _parse_floats(lines[1 + t], J * C, 2 + t, f"frame {t}")
-        data[t] = row.reshape(J, C)
-    return PoseSequence(data=data, fps=fps if fps is not None else file_fps)
+    return PoseSequence(data=rows.reshape(T, J, C), fps=fps)
 
 
 def save_conditioning(c: ConditioningFeatures, path) -> None:
-    T_v, D_v = c.data.shape
-    lines = [f"{T_v} {D_v}"] + [_fmt_row(c.data[t]) for t in range(T_v)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_matrix(path, c.data.shape, c.data)
 
 
 def load_conditioning(path) -> ConditioningFeatures:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty conditioning file", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'T_v D_v'", line=1)
-    T_v, D_v = int(head[0]), int(head[1])
-    if len(lines) < 1 + T_v:
-        raise ParseError(f"expected {T_v} rows, file has {len(lines) - 1}", line=len(lines))
-    data = np.empty((T_v, D_v))
-    for t in range(T_v):
-        data[t] = _parse_floats(lines[1 + t], D_v, 2 + t, f"row {t}")
-    return ConditioningFeatures(data=data)
+    return ConditioningFeatures(data=read_matrix(path, "T_v D_v")[1])
+
+
+def save_latent(z: MusicLatent, path) -> None:
+    write_matrix(path, z.data.shape, z.data)
+
+
+def load_latent(path) -> MusicLatent:
+    return MusicLatent(data=read_matrix(path, "T_m d")[1])
 
 
 def save_beat_grid(g: BeatGrid, path) -> None:
@@ -317,36 +331,16 @@ def save_beat_grid(g: BeatGrid, path) -> None:
 
 
 def load_beat_grid(path) -> BeatGrid:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty beat-grid file", line=1)
-    head = lines[0].split()
+    lines = read_lines(path)
+    head = lines[0].split() if lines else []
     if len(head) != 2:
         raise ParseError("header must be 'timeline_len fps'", line=1)
-    frames = [int(x) for x in lines[1].split()] if len(lines) > 1 else []
-    return BeatGrid(beat_frames=frames, timeline_len=int(head[0]), fps=float(head[1]))
-
-
-def save_latent(z: MusicLatent, path) -> None:
-    T_m, d = z.data.shape
-    lines = [f"{T_m} {d}"] + [_fmt_row(z.data[t]) for t in range(T_m)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_latent(path) -> MusicLatent:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty latent file", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'T_m d'", line=1)
-    T_m, d = int(head[0]), int(head[1])
-    if len(lines) < 1 + T_m:
-        raise ParseError(f"expected {T_m} rows, file has {len(lines) - 1}", line=len(lines))
-    data = np.empty((T_m, d))
-    for t in range(T_m):
-        data[t] = _parse_floats(lines[1 + t], d, 2 + t, f"row {t}")
-    return MusicLatent(data=data)
+    try:
+        timeline_len, fps = int(head[0]), float(head[1])
+    except ValueError as e:
+        raise ParseError(f"bad header: {e}", line=1)
+    try:
+        frames = [int(x) for x in lines[1].split()] if len(lines) > 1 else []
+    except ValueError as e:
+        raise ParseError(f"bad beat frame: {e}", line=2)
+    return BeatGrid(beat_frames=frames, timeline_len=timeline_len, fps=fps)

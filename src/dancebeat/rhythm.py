@@ -12,13 +12,14 @@ differentiable with respect to every parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError
-from .pose import MotionField, PoseSequence, motion_diff
+from .pose import (MotionField, PoseSequence, local_minima, motion_diff, read_matrix,
+                   write_matrix)
 from .tensor import Tensor
 
 
@@ -39,6 +40,10 @@ def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
         raise ConfigError(f"need at least one scale, got {scales}")
     if base_period < 2:
         raise ConfigError(f"base period must be >= 2 frames (sub-Nyquist), got {base_period}")
+    # bounds the kernel length, which grows with the longest period
+    if not math.log2(base_period) + scales - 1 <= 16:
+        raise ConfigError(f"longest wavelet period {base_period} * 2^{scales - 1} "
+                          f"exceeds 2^16 frames")
     kernels, periods = [], []
     for s in range(scales):
         lam = base_period * 2.0 ** s
@@ -91,8 +96,7 @@ class RhythmParams:
         )
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        return [(n, getattr(self, n)) for n in
-                ("w1", "b1", "w2", "b2", "fuse_w", "fuse_b", "a1", "ab1", "a2", "ab2")]
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "Tensor"]
 
 
 @dataclass
@@ -220,37 +224,12 @@ def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams,
     full = tz.concat([gated, gated[Tm1 - 1:Tm1, :]], axis=0)  # repeat last frame -> (T, D)
     if not want_intermediates:
         return full, gate
-    h = np.empty((Tm1, K, S))
-    for k in range(K):
-        for s in range(S):
-            h[:, k, s] = cols[k * S + s].data[:, 0]
     inter = RhythmIntermediates(
         wavelet=feats.wavelet, joint_weights=w.data.copy(),
-        histograms=h, gate=gate.data[:, 0].copy(),
+        histograms=feat.data[:, :K * S].reshape(Tm1, K, S).copy(),
+        gate=gate.data[:, 0].copy(),
     )
     return full, gate, inter
-
-
-def joint_weights(m: MotionField, wavelet: np.ndarray, params: RhythmParams) -> np.ndarray:
-    """Convenience numpy view of the joint-weight distribution."""
-    feats = ClipRhythmFeatures(
-        magnitude=m.magnitude, wavelet=wavelet, mx=None, my=None,
-        mag_s=None, bin_idx=None, frames=m.magnitude.shape[0] + 1, fps=0.0,
-    )
-    return joint_weight_tensor(feats, params).data
-
-
-def phase_histograms(mx: np.ndarray, my: np.ndarray, mag_s: np.ndarray,
-                     weights: np.ndarray, bins: int) -> np.ndarray:
-    """Weighted per-scale phase histograms, (T-1, K, S) (numpy reference)."""
-    if bins < 2:
-        raise ConfigError(f"need at least 2 phase bins, got {bins}")
-    idx = phase_bins(mx, my, bins)
-    Tm1, J, S = mag_s.shape
-    h = np.zeros((Tm1, bins, S))
-    for k in range(bins):
-        h[:, k, :] = (weights[:, :, None] * mag_s * (idx == k)).sum(axis=1)
-    return h
 
 
 def extract_rhythm(p: PoseSequence, bank: WaveletBank, params: RhythmParams) -> RhythmEmbedding:
@@ -285,8 +264,6 @@ def baseline_binary_rhythm(p: PoseSequence, dim: int) -> np.ndarray:
     """Ablation baseline: binarized first-difference rhythm, 1 at speed minima."""
     s = motion_diff(p).magnitude.sum(axis=1)
     b = np.zeros(p.frames)
-    from .pose import local_minima
-
     for t in local_minima(s):
         b[t] = 1.0
     return np.tile(b[:, None], (1, dim))
@@ -297,28 +274,9 @@ def baseline_binary_rhythm(p: PoseSequence, dim: int) -> np.ndarray:
 
 
 def save_rhythm(r: RhythmEmbedding, path) -> None:
-    T, D = r.data.shape
-    lines = [f"{T} {D} {repr(float(r.fps))}"]
-    lines += [" ".join(repr(float(v)) for v in r.data[t]) for t in range(T)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_matrix(path, (*r.data.shape, float(r.fps)), r.data)
 
 
 def load_rhythm(path) -> RhythmEmbedding:
-    from .errors import ParseError
-
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty rhythm file", line=1)
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("header must be 'T D fps'", line=1)
-    T, D, fps = int(head[0]), int(head[1]), float(head[2])
-    data = np.empty((T, D))
-    for t in range(T):
-        vals = lines[1 + t].split()
-        if len(vals) != D:
-            raise ParseError(f"row {t}: expected {D} values, found {len(vals)}", line=2 + t)
-        data[t] = [float(v) for v in vals]
+    (_T, _D, fps), data = read_matrix(path, "T D fps", floats=1)
     return RhythmEmbedding(data=data, fps=fps)

@@ -4,9 +4,6 @@ Everything learnable in the pipeline runs on this module. Arrays are
 row-major numpy float64 throughout; a Tape records each differentiable
 operation so that unwinding it in reverse propagates adjoints back to
 every leaf with requires_grad set.
-
-Forward evaluation on distinct tensors is safe to parallelize; a Tape is
-single-owner and must never be built or unwound from two threads.
 """
 from __future__ import annotations
 
@@ -50,14 +47,13 @@ def _active_tape() -> Tape | None:
 class Tensor:
     """A contiguous float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,25 +91,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return tslice(self, key)
 
@@ -137,7 +114,6 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        out._tape = tape
         tape.record(out, backward_fn)
     return out
 
@@ -174,15 +150,6 @@ def mul(a, b) -> Tensor:
         b._accum(g * a.data)
 
     return _emit(a.data * b.data, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(-g)
-
-    return _emit(-a.data, (a,), bwd)
 
 
 def exp(a) -> Tensor:
@@ -398,17 +365,21 @@ def conv1d_same(signal, kernel) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients for every requires_grad leaf reachable from `loss`.
+    """Populate gradients for every requires_grad leaf reachable from `loss`
+    by unwinding the active tape, so call it inside the `with Tape()` block
+    that recorded the loss.
 
     Repeated calls without zeroing accumulate, matching the usual
     reverse-mode convention.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    tape = loss._tape
-    if tape is None:
+    if not loss.requires_grad:
         # loss does not depend on anything recorded; nothing to do
         return
+    tape = _active_tape()
+    if tape is None:
+        raise ContractError("backward needs the tape that recorded the loss to be active")
     # intermediates start each pass fresh; only leaf gradients accumulate
     for out, _ in tape._records:
         out.grad = None
@@ -446,20 +417,3 @@ def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
     if emb.shape[1] < dim:
         emb = np.concatenate([emb, np.zeros((emb.shape[0], dim - emb.shape[1]))], axis=1)
     return emb
-
-
-def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of scalar f at x (test oracle)."""
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        orig = x[i]
-        x[i] = orig + eps
-        fp = f()
-        x[i] = orig - eps
-        fm = f()
-        x[i] = orig
-        g[i] = (fp - fm) / (2 * eps)
-        it.iternext()
-    return g

@@ -18,9 +18,11 @@ from dancebeat import tensor as tz
 from dancebeat.align import ContextQueries
 from dancebeat.cli import main as cli_main
 from dancebeat.config import RunConfig
-from dancebeat.flowgen import SampleConfig, TrainConfig, euler_sample, init_model
+from dancebeat.flowgen import euler_sample, init_model
 from dancebeat.pose import BeatGrid
 from dancebeat.tensor import Tape, Tensor
+
+from conftest import optimal_match, phase_histograms
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -39,10 +41,11 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_1_composite_gradient_matches_finite_differences():
     t_start = time.monotonic()
     rng = np.random.default_rng(7)
-    tc = TrainConfig(batch_size=1, epochs=1, learning_rate=1e-3,
-                     scales=2, base_period=2.0, bins=4, rhythm_dim=6,
-                     hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2)
-    model = init_model(tc, latent_dim=3, latent_len=2, cond_dim=3)
+    tc = RunConfig(batch_size=1, epochs=1, learning_rate=1e-3,
+                   scales=2, base_period=2.0, bins=4, rhythm_dim=6,
+                   hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2,
+                   latent_dim=3, latent_len=2, cond_dim=3)
+    model = init_model(tc)
     p = pose.PoseSequence(data=rng.uniform(0, 1, (4, 2, 2)), fps=30)
     feats = rhythm.clip_features(p, model.bank, tc.bins)
     cond = pose.ConditioningFeatures(data=rng.standard_normal((2, 3)))
@@ -109,7 +112,7 @@ def test_2_rhythm_invariants_randomized():
         if np.abs(w.sum(axis=1) - 1.0).max() > 1e-9:
             violations += 1
             continue
-        h = rhythm.phase_histograms(feats.mx, feats.my, feats.mag_s, w, bins=4)
+        h = phase_histograms(feats.mx, feats.my, feats.mag_s, w, bins=4)
         mass = (w[:, :, None] * feats.mag_s).sum(axis=1)
         if np.abs(h.sum(axis=1) - mass).max() > 1e-9:
             violations += 1
@@ -168,9 +171,8 @@ def test_4_sampler_accuracy():
     decay = lambda z, t, r, c: -z
 
     def multiplier_gap(steps: int) -> float:
-        sc = SampleConfig(steps=steps, cfg_scale=1.0, seed=21)
         z0 = np.random.default_rng(21).standard_normal((8, 4))
-        z = euler_sample(None, None, None, 8, sc, velocity_fn=decay, latent_dim=4)
+        z = euler_sample(None, None, None, 8, steps, 1.0, 21, velocity_fn=decay, latent_dim=4)
         return np.abs(z.data / z0 - math.exp(-1)).max()
 
     gap32 = multiplier_gap(32)
@@ -196,7 +198,7 @@ def test_5_metric_oracle():
         gen = sorted(rng.choice(100, size=int(rng.integers(0, 9)), replace=False))
         truth = sorted(rng.choice(100, size=int(rng.integers(0, 9)), replace=False))
         window = int(rng.integers(0, 7))
-        if metrics.greedy_match(gen, truth, window) != metrics.optimal_match(gen, truth, window):
+        if metrics.greedy_match(gen, truth, window) != optimal_match(gen, truth, window):
             greedy_ok = False
             break
     _report(5, "metric oracle", hand_ok and greedy_ok,
@@ -249,8 +251,8 @@ def _make_clips(cfg: RunConfig, n: int, seed0: int):
 def _mean_f1(cfg: RunConfig, model, clips, conditioned: bool) -> float:
     scores = []
     for i, (p, _z, c, grid) in enumerate(clips):
-        sc = cfg.sample_config(seed=cfg.seed + 7919 * (i + 1))
-        z = flowgen.generate(model, p, c, cfg.latent_len, sc, conditioned=conditioned)
+        z = flowgen.generate(model, p, c, cfg.steps, cfg.cfg_scale, cfg.seed + 7919 * (i + 1),
+                             conditioned=conditioned)
         fps_l = cfg.fps * cfg.latent_len / grid.timeline_len
         truth = BeatGrid(beat_frames=pose.map_to_latent(grid, cfg.latent_len),
                          timeline_len=cfg.latent_len, fps=fps_l)
@@ -268,14 +270,14 @@ def test_7_conditioning_experiment():
     dataset = [(p, z, c) for (p, z, c, _g) in train_clips]
 
     t0 = time.monotonic()
-    model = flowgen.train(dataset, cfg.train_config())
+    model = flowgen.train(dataset, cfg)
     train_s = time.monotonic() - t0
 
     f1_cond = _mean_f1(cfg, model, eval_clips, conditioned=True)
     f1_uncond = _mean_f1(cfg, model, eval_clips, conditioned=False)
 
     cfg_none = replace(cfg, rhythm_mode="none")
-    model_none = flowgen.train(dataset, cfg_none.train_config())
+    model_none = flowgen.train(dataset, cfg_none)
     f1_condonly = _mean_f1(cfg_none, model_none, eval_clips, conditioned=True)
 
     ok = (train_s < 900.0

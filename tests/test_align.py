@@ -8,7 +8,7 @@ from dancebeat.errors import ConfigError
 from dancebeat.rhythm import RhythmEmbedding
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import relerr
+from conftest import finite_difference, relerr
 
 
 class TestSegmentSpans:
@@ -124,5 +124,5 @@ class TestAlign:
 
         with Tape():
             backward(loss())
-        fd = tz.finite_difference(lambda: loss().item(), q.data.data)
+        fd = finite_difference(lambda: loss().item(), q.data.data)
         assert relerr(q.data.grad, fd) < 1e-4

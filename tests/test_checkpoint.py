@@ -1,23 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dancebeat.checkpoint import MAGIC, load_model, save_model
 from dancebeat.config import RunConfig, load_config
 from dancebeat.errors import ConfigError, ParseError
-from dancebeat.flowgen import SampleConfig, TrainConfig, euler_sample, init_model
+from dancebeat.flowgen import euler_sample, init_model, parameter_count
 
 
 def tiny_tc(**kw):
     base = dict(batch_size=2, epochs=2, learning_rate=1e-3, seed=3,
                 scales=2, base_period=2.0, bins=4, rhythm_dim=6,
-                hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2)
+                hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2,
+                latent_dim=3, latent_len=5, cond_dim=4)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 class TestCheckpointRoundTrip:
     def test_bit_exact(self, tmp_path):
-        model = init_model(tiny_tc(), latent_dim=3, latent_len=5, cond_dim=4)
+        model = init_model(tiny_tc())
         save_model(model, tmp_path / "ck")
         loaded = load_model(tmp_path / "ck")
         for (name, a), (name2, b) in zip(model.all_tensors(), loaded.all_tensors()):
@@ -28,16 +31,15 @@ class TestCheckpointRoundTrip:
         assert loaded.config == model.config
 
     def test_same_samples_after_reload(self, tmp_path):
-        model = init_model(tiny_tc(), latent_dim=3, latent_len=5, cond_dim=4)
+        model = init_model(tiny_tc())
         save_model(model, tmp_path / "ck")
         loaded = load_model(tmp_path / "ck")
-        sc = SampleConfig(steps=4, cfg_scale=1.0, seed=9)
-        a = euler_sample(model.vf, None, None, 5, sc, latent_dim=3)
-        b = euler_sample(loaded.vf, None, None, 5, sc, latent_dim=3)
+        a = euler_sample(model.vf, None, None, 5, 4, 1.0, 9, latent_dim=3)
+        b = euler_sample(loaded.vf, None, None, 5, 4, 1.0, 9, latent_dim=3)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
-        model = init_model(tiny_tc(), latent_dim=3, latent_len=5, cond_dim=4)
+        model = init_model(tiny_tc())
         save_model(model, tmp_path / "a")
         save_model(model, tmp_path / "b")
         assert (tmp_path / "a.manifest").read_bytes() == (tmp_path / "b.manifest").read_bytes()
@@ -50,7 +52,7 @@ class TestCheckpointRoundTrip:
             load_model(tmp_path / "ck")
 
     def test_manifest_starts_with_magic(self, tmp_path):
-        model = init_model(tiny_tc(), latent_dim=3, latent_len=5, cond_dim=4)
+        model = init_model(tiny_tc())
         save_model(model, tmp_path / "ck")
         first = (tmp_path / "ck.manifest").read_text().splitlines()[0]
         assert first == MAGIC
@@ -59,11 +61,11 @@ class TestCheckpointRoundTrip:
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
-        assert cfg.train_config().epochs == 100
-        assert cfg.sample_config().steps == 32
+        assert cfg.epochs == 100
+        assert cfg.steps == 32
 
     def test_seed_override(self):
-        assert RunConfig(seed=5).sample_config(seed=11).seed == 11
+        assert replace(RunConfig(seed=5), seed=11).seed == 11
 
     def test_bad_tempo_range(self):
         with pytest.raises(ConfigError):
@@ -100,3 +102,57 @@ class TestRunConfig:
         p.write_text("epochs = soon\n")
         with pytest.raises(ConfigError, match="bad value"):
             load_config(p)
+
+
+class TestCheckpointIntegrity:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        save_model(init_model(tiny_tc()), tmp_path / "ck")
+        return tmp_path / "ck"
+
+    def edit_manifest(self, ckpt, old, new):
+        m = ckpt.with_suffix(".manifest")
+        text = m.read_text()
+        assert old in text
+        m.write_text(text.replace(old, new, 1))
+
+    def test_manifest_carries_every_config_field(self, ckpt):
+        keys = [ln.split()[1] for ln in ckpt.with_suffix(".manifest").read_text().splitlines()
+                if ln.startswith("config ")]
+        assert keys == list(vars(RunConfig()))
+
+    def test_values_are_parsed_not_evaluated(self, ckpt):
+        self.edit_manifest(ckpt, "config epochs 2", "config epochs (1).__class__(7)")
+        with pytest.raises(ParseError, match="bad value for epochs"):
+            load_model(ckpt)
+
+    def test_truncated_blob(self, ckpt):
+        b = ckpt.with_suffix(".bin")
+        b.write_bytes(b.read_bytes()[:1000])
+        with pytest.raises(ParseError, match="SHA-256"):
+            load_model(ckpt)
+
+    def test_flipped_blob_byte(self, ckpt):
+        b = ckpt.with_suffix(".bin")
+        raw = bytearray(b.read_bytes())
+        raw[100] ^= 1
+        b.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="SHA-256"):
+            load_model(ckpt)
+
+    def test_config_must_describe_the_blob(self, ckpt):
+        # a model this size is never allocated: the blob is checked first
+        self.edit_manifest(ckpt, "config hidden 8", "config hidden 200000")
+        with pytest.raises(ParseError, match="describes"):
+            load_model(ckpt)
+
+    def test_tensor_record_mismatch(self, ckpt):
+        self.edit_manifest(ckpt, "tensor vf.time_b1 8 512", "tensor vf.time_b1 8 520")
+        with pytest.raises(ParseError, match="vf.time_b1"):
+            load_model(ckpt)
+
+    @pytest.mark.parametrize("kw", [{}, dict(blocks=3, hidden=12, heads=3, bins=5),
+                                    dict(scales=3, latent_len=7, cond_dim=1, latent_dim=9)])
+    def test_parameter_count_is_exact(self, kw):
+        model = init_model(tiny_tc(**kw))
+        assert parameter_count(model.config) == sum(t.data.size for _, t in model.all_tensors())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dancebeat import pose
+from dancebeat import metrics, pose
 from dancebeat.cli import main
 from dancebeat.clicktrack import read_wav_header
 
@@ -143,7 +143,7 @@ class TestTrainGenerateEvaluate:
 
     def test_evaluate_from_checkpoint_runs(self, tmp_path, cfg_file, trained, capsys):
         data, ckpt = trained
-        assert run("--config", cfg_file, "--jobs", "2", "evaluate",
+        assert run("--config", cfg_file, "evaluate",
                    "--data", str(data), "--ckpt", str(ckpt)) == 0
         assert "F1=" in capsys.readouterr().out
 
@@ -173,3 +173,110 @@ class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
         assert "usage:" in capsys.readouterr().out
+
+
+def run_err(capsys, *argv):
+    """(exit status, stderr lines) of one CLI call."""
+    capsys.readouterr()
+    rc = run(*argv)
+    return rc, capsys.readouterr().err.splitlines()
+
+
+class TestMalformedInputs:
+    @pytest.fixture
+    def data(self, tmp_path, cfg_file):
+        d = tmp_path / "data"
+        assert run("--config", cfg_file, "synth", "--out", str(d), "--n-clips", "1") == 0
+        return d
+
+    def assert_one_error(self, rc, err):
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_latent_header(self, tmp_path, cfg_file, data, capsys):
+        (data / "clip_000.latent").write_text("50 x\n")
+        self.assert_one_error(*run_err(capsys, "--config", cfg_file, "evaluate",
+                                       "--data", str(data), "--generated", str(data)))
+
+    def test_beats_line(self, tmp_path, cfg_file, data, capsys):
+        (data / "clip_000.beats").write_text("60 30.0\n3 x 9\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate",
+                          "--data", str(data), "--generated", str(data))
+        self.assert_one_error(rc, err)
+        assert "line 2" in err[0]
+
+    @pytest.mark.parametrize("damage", ["header", "cut"])
+    def test_rhythm_file(self, tmp_path, cfg_file, data, capsys, damage):
+        r = tmp_path / "clip.rhythm"
+        assert run("--config", cfg_file, "extract", "--pose", str(data / "clip_000.pose"),
+                   "--out", str(r)) == 0
+        lines = r.read_text().splitlines()
+        if damage == "header":
+            lines[0] = "150 64 x"
+        else:
+            lines = lines[:10]
+        r.write_text("\n".join(lines) + "\n")
+        self.assert_one_error(*run_err(capsys, "--config", cfg_file, "align",
+                                       "--rhythm", str(r), "--out", str(tmp_path / "a")))
+
+    def test_invalid_utf8(self, tmp_path, cfg_file, data, capsys):
+        p = data / "clip_000.pose"
+        raw = p.read_bytes()
+        p.write_bytes(raw[:30] + b"\xff" + raw[31:])
+        rc, err = run_err(capsys, "--config", cfg_file, "extract", "--pose", str(p),
+                          "--out", str(tmp_path / "r"))
+        self.assert_one_error(rc, err)
+        assert "UTF-8" in err[0]
+
+
+class TestCheckpointConflicts:
+    @pytest.mark.parametrize("align_mode", ["attn", "meanpool"])
+    def test_latent_len_mismatch(self, tmp_path, capsys, align_mode):
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(TINY_CFG + f"latent_len = 50\nalign_mode = {align_mode!r}\n")
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(TINY_CFG + f"latent_len = 40\nalign_mode = {align_mode!r}\n")
+        data, ckpt = tmp_path / "data", tmp_path / "model"
+        assert run("--config", str(train_cfg), "synth", "--out", str(data), "--n-clips", "1") == 0
+        assert run("--config", str(train_cfg), "train", "--data", str(data),
+                   "--out", str(ckpt)) == 0
+        out = tmp_path / "gen.latent"
+        rc, err = run_err(capsys, "--config", str(run_cfg), "generate", "--ckpt", str(ckpt),
+                          "--pose", str(data / "clip_000.pose"), "--out", str(out))
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+        assert "latent_len = 40" in err[0] and "latent_len = 50" in err[0]
+        assert not out.exists()
+        for argv in (("evaluate", "--data", str(data), "--ckpt", str(ckpt)),
+                     ("extract", "--ckpt", str(ckpt), "--pose", str(data / "clip_000.pose"),
+                      "--out", str(tmp_path / "r"))):
+            rc, err = run_err(capsys, "--config", str(run_cfg), *argv)
+            assert rc == 1 and "latent_len = 40" in err[0]
+
+
+class TestPoseFrameRate:
+    def test_wav_clicks_follow_the_pose_frame_rate(self, tmp_path, capsys):
+        # a 60 fps pose under a config that says 30 fps: 300 frames span 5 s
+        cfg = tmp_path / "fps60.cfg"
+        cfg.write_text("fps = 60.0\nepochs = 1\n")
+        data, ckpt = tmp_path / "data", tmp_path / "model"
+        assert run("--config", str(cfg), "synth", "--out", str(data), "--n-clips", "2") == 0
+        assert run("--config", str(cfg), "train", "--data", str(data), "--out", str(ckpt)) == 0
+        latent_len = 50
+        for seed in (1, 2, 3):
+            out = tmp_path / f"gen{seed}.latent"
+            rc, err = run_err(capsys, "--seed", str(seed), "generate", "--ckpt", str(ckpt),
+                              "--pose", str(data / "clip_000.pose"),
+                              "--cond", str(data / "clip_000.cond"),
+                              "--out", str(out), "--wav", str(out.with_suffix(".wav")))
+            assert rc == 0, err
+            raw = out.with_suffix(".wav").read_bytes()
+            assert read_wav_header(out.with_suffix(".wav"))["sample_rate"] == 44100
+            q = np.frombuffer(raw, dtype="<i2", offset=44)
+            assert q.size == 5 * 44100
+            nz = np.flatnonzero(q)
+            onsets = nz[np.diff(nz, prepend=-101) > 100]
+            beats = metrics.detect_latent_beats(pose.load_latent(out)).beat_frames
+            want = [i / (latent_len / 5.0) * 44100 for i in beats]
+            assert len(onsets) == len(want) > 0
+            # a click is a sine burst from phase 0: its first nonzero sample follows the beat's
+            assert all(abs(a - b) <= 2 for a, b in zip(onsets, want)), (onsets, want)

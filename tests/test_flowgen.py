@@ -6,7 +6,8 @@ import pytest
 from dancebeat import flowgen, tensor as tz
 from dancebeat.align import ContextQueries
 from dancebeat.errors import ConfigError
-from dancebeat.flowgen import (SampleConfig, TrainConfig, TrainedModel,
+from dancebeat.config import RunConfig
+from dancebeat.flowgen import (TrainedModel,
                                cfg_velocity, cfm_loss, euler_sample, train,
                                velocity)
 from dancebeat.pose import (ConditioningFeatures, MusicLatent, synth_conditioning,
@@ -20,13 +21,14 @@ from conftest import relerr
 def tiny_tc(**kw):
     base = dict(batch_size=2, epochs=2, learning_rate=1e-3, cond_drop_prob=0.2,
                 seed=0, scales=2, base_period=2.0, bins=4, rhythm_dim=6,
-                hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2)
+                hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2,
+                latent_dim=2, latent_len=4, cond_dim=3)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
-def tiny_model(tc=None, latent_dim=2, latent_len=4, cond_dim=3):
-    return flowgen.init_model(tc or tiny_tc(), latent_dim, latent_len, cond_dim)
+def tiny_model(tc=None):
+    return flowgen.init_model(tc or tiny_tc())
 
 
 def tiny_dataset(n=3, latent_len=4, latent_dim=2, cond_dim=3, frames=8, joints=2):
@@ -131,16 +133,14 @@ class TestCfgVelocity:
 class TestEulerSample:
     def test_constant_field_exact(self):
         c = np.array([[0.5, -1.0]])
-        sc = SampleConfig(steps=7, cfg_scale=4.0, seed=3)
-        out = euler_sample(None, None, None, 1, sc,
+        out = euler_sample(None, None, None, 1, 7, 4.0, 3,
                            velocity_fn=lambda z, t, r, co: np.broadcast_to(c, z.shape),
                            latent_dim=2)
         z0 = np.random.default_rng(3).standard_normal((1, 2))
         assert relerr(out.data, z0 + c) < 1e-12
 
     def test_decay_field_vs_closed_form(self):
-        sc = SampleConfig(steps=32, cfg_scale=1.0, seed=5)
-        out = euler_sample(None, None, None, 3, sc,
+        out = euler_sample(None, None, None, 3, 32, 1.0, 5,
                            velocity_fn=lambda z, t, r, c: -z, latent_dim=2)
         z0 = np.random.default_rng(5).standard_normal((3, 2))
         expect = z0 * (1 - 1 / 32) ** 32
@@ -157,16 +157,14 @@ class TestEulerSample:
 
     def test_seeded_determinism(self):
         m = tiny_model()
-        sc = SampleConfig(steps=4, cfg_scale=4.0, seed=11)
-        a = euler_sample(m.vf, None, None, 4, sc)
-        b = euler_sample(m.vf, None, None, 4, sc)
+        a = euler_sample(m.vf, None, None, 4, 4, 4.0, 11)
+        b = euler_sample(m.vf, None, None, 4, 4, 4.0, 11)
         assert np.array_equal(a.data, b.data)
 
     def test_sampling_does_not_mutate_params(self, rng):
         m = tiny_model()
         before = {n: t.data.copy() for n, t in m.vf.tensors()}
-        euler_sample(m.vf, rng.standard_normal((4, 6)), None, 4,
-                     SampleConfig(steps=3, cfg_scale=4.0, seed=0))
+        euler_sample(m.vf, rng.standard_normal((4, 6)), None, 4, 3, 4.0, 0)
         for n, t in m.vf.tensors():
             assert np.array_equal(before[n], t.data)
 
@@ -175,6 +173,11 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(ConfigError):
             train([], tiny_tc())
+
+    @pytest.mark.parametrize("kw", [dict(latent_len=5), dict(latent_dim=3), dict(cond_dim=2)])
+    def test_dataset_must_match_config(self, kw):
+        with pytest.raises(ConfigError, match="the config says"):
+            train(tiny_dataset(2), tiny_tc(**kw))
 
     def test_loss_history_finite_and_improves(self):
         tc = tiny_tc(epochs=8, learning_rate=3e-3)
@@ -200,13 +203,13 @@ class TestTrain:
     def test_gradient_reaches_all_groups(self):
         dataset = tiny_dataset(1)
         tc = tiny_tc(cond_drop_prob=0.0)
-        model = flowgen.init_model(tc, 2, 4, 3)
+        model = flowgen.init_model(tc)
         feats = clip_features(dataset[0][0], model.bank, tc.bins)
         rng = np.random.default_rng(0)
         z1 = dataset[0][1].data
         z0 = rng.standard_normal(z1.shape)
         with Tape():
-            rcond = flowgen.rhythm_condition_tensor(feats, None, model, 4)
+            rcond = flowgen.rhythm_condition_tensor(feats, None, model)
             loss = cfm_loss(model, z1, z0, 0.5, rcond, dataset[0][2])
             backward(loss)
         for group in (model.rhythm_net.tensors(), model.queries.tensors(), model.vf.tensors()):

@@ -7,7 +7,7 @@ from dancebeat import metrics, pose
 from dancebeat.errors import ConfigError
 from dancebeat.pose import BeatGrid, MusicLatent, synth_dance, synth_latent
 
-from conftest import relerr
+from conftest import optimal_match, relerr
 
 
 def grid(frames, length=100, fps=30.0):
@@ -99,7 +99,7 @@ class TestBeatScores:
     @settings(max_examples=200, deadline=None)
     def test_greedy_equals_bruteforce(self, gen, truth, window):
         greedy = metrics.greedy_match(gen, truth, window)
-        assert greedy == metrics.optimal_match(gen, truth, window)
+        assert greedy == optimal_match(gen, truth, window)
         assert greedy <= min(len(gen), len(truth))
 
     @given(beat_lists, beat_lists, st.integers(min_value=0, max_value=8))

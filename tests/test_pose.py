@@ -158,3 +158,34 @@ class TestLatentFiles:
         path = tmp_path / "z.latent"
         pose.save_latent(z, path)
         assert np.array_equal(pose.load_latent(path).data, z.data)
+
+
+class TestMatrixCodec:
+    def test_rows_checked_before_header_sizes(self, tmp_path):
+        # J*C of 3e11 would need terabytes if sized before the rows are read
+        path = tmp_path / "p.pose"
+        path.write_text("2 100000000000 3 30.0\n0 0\n0 0\n")
+        with pytest.raises(ParseError, match="frame 0"):
+            pose.load_pose_sequence(path)
+
+    @pytest.mark.parametrize("text", ["", "3 2\n1 2\n3 4\n", "2 2\n1 2\n", "0 2\n",
+                                      "2 -2\n\n\n", "2 2 2\n1 2\n3 4\n", "2 2\n1 2\n3 inf\n"])
+    def test_malformed_latent(self, tmp_path, text):
+        path = tmp_path / "z.latent"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            pose.load_latent(path)
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "c.cond"
+        path.write_bytes(b"2 1\n0.5\n\xc3(\n")
+        with pytest.raises(ParseError, match="line 3"):
+            pose.load_conditioning(path)
+
+    def test_bytes_unchanged_by_round_trip(self, tmp_path, rng):
+        path = tmp_path / "p.pose"
+        pose.save_pose_sequence(pose.PoseSequence(data=rng.uniform(0, 1, (3, 2, 2)), fps=30),
+                                path)
+        text = path.read_text()
+        pose.save_pose_sequence(pose.load_pose_sequence(path), path)
+        assert path.read_text() == text and text.startswith("3 2 2 30.0\n")

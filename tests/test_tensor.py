@@ -7,7 +7,7 @@ from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import relerr
+from conftest import finite_difference, relerr
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -18,7 +18,7 @@ def check_grad(build, leaves, eps=1e-5, tol=1e-6):
         loss = build()
         backward(loss)
     for leaf in leaves:
-        fd = tz.finite_difference(lambda: build().item(), leaf.data, eps=eps)
+        fd = finite_difference(lambda: build().item(), leaf.data, eps=eps)
         got = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         assert relerr(got, fd) < tol, f"grad mismatch: {relerr(got, fd)}"
 
@@ -209,3 +209,36 @@ class TestMiscOps:
         x = Tensor(rng.standard_normal((4, 4)) * 100)
         for op in (tz.sigmoid, tz.relu, lambda t: tz.softmax(t, axis=1), tz.layer_norm):
             assert np.isfinite(op(x).data).all()
+
+
+class TestTapeLifetime:
+    def test_tape_freed_when_its_block_ends(self):
+        import gc
+        import weakref
+
+        from dancebeat.config import RunConfig
+        from dancebeat.flowgen import cfm_loss, init_model
+
+        model = init_model(RunConfig(scales=2, base_period=2.0, bins=4, rhythm_dim=6,
+                                     hidden_w=4, hidden_a=4, blocks=1, hidden=8, heads=2,
+                                     latent_len=4, latent_dim=2, cond_dim=3))
+        rng = np.random.default_rng(0)
+        z1, z0 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = cfm_loss(model, z1, z0, 0.5, rng.standard_normal((4, 6)), None)
+                backward(loss)
+            ref = weakref.ref(tape)
+            del tape, loss
+            # no reference cycle: freed without the cyclic collector
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_backward_needs_the_active_tape(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape():
+            loss = tz.tsum(tz.mul(x, x))
+        with pytest.raises(ContractError):
+            backward(loss)
