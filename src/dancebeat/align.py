@@ -64,33 +64,62 @@ def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
     return spans
 
 
+def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, n) frame indices of each segment, n the longest segment, and
+    the mask of the slots that hold one; the other slots index frame `total`."""
+    spans = np.array(segment_spans(total, count))
+    slots = spans[:, :1] + np.arange((spans[:, 1] - spans[:, 0]).max())
+    inside = slots < spans[:, 1:]
+    return np.where(inside, slots, total), inside
+
+
+def _gather(r: Tensor, slots: np.ndarray) -> Tensor:
+    """(count, n, D) rows of the (T, D) `r` by slot; slot T reads zeros."""
+    return tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]
+
+
+def _pool(r: Tensor, queries: Tensor, slots: np.ndarray, inside: np.ndarray) -> Tensor:
+    """Row i: the frames of segment i weighted by the softmax of their scaled
+    dot products with query i, the slots outside the segment masked to -inf."""
+    rows = _gather(r, slots)
+    count, n, dim = rows.shape
+    scores = tz.tsum(tz.mul(rows, tz.reshape(queries, (count, 1, dim))), axis=2)
+    scores = tz.add(tz.mul(scores, 1.0 / math.sqrt(dim)), np.where(inside, 0.0, -np.inf))
+    weights = tz.reshape(tz.softmax(scores, axis=1), (count, n, 1))
+    return tz.tsum(tz.mul(weights, rows), axis=1)  # (count, D)
+
+
 def attention_pool(segment, query) -> Tensor:
-    """Pool an (n, D) segment with a (D,) query: softmax of the scaled dot
-    products weighs the rows. Differentiable w.r.t. both operands."""
-    seg = segment if isinstance(segment, Tensor) else Tensor(segment)
-    q = query if isinstance(query, Tensor) else Tensor(query)
-    n, dim = seg.shape
-    qcol = tz.reshape(q, (dim, 1))
-    scores = tz.mul(tz.matmul(seg, qcol), 1.0 / math.sqrt(dim))  # (n, 1)
-    weights = tz.softmax(scores, axis=0)
-    return tz.matmul(tz.transpose(weights), seg)  # (1, D)
+    """Pool an (n, D) segment with a (D,) query into a (1, D) row: softmax
+    of the scaled dot products weighs the rows. Differentiable w.r.t. both
+    operands."""
+    seg, q = tz.as_tensor(segment), tz.as_tensor(query)
+    return _pool(seg, tz.reshape(q, (1, seg.shape[1])), *segment_slots(seg.shape[0], 1))
 
 
 def align_tensor(r: Tensor, queries: ContextQueries) -> Tensor:
-    """Differentiable alignment of a (T, D) embedding to (T_m, D)."""
+    """Differentiable alignment of a (T, D) embedding to (T_m, D): each
+    query pools its own segment, all in one segment-masked softmax."""
     T, D = r.shape
     if queries.dim != D:
         raise ConfigError(f"query dim {queries.dim} != rhythm dim {D}")
     if queries.count > T:
         raise ConfigError(f"{queries.count} queries exceed {T} rhythm frames")
-    rows = []
-    for i, (a, b) in enumerate(segment_spans(T, queries.count)):
-        rows.append(attention_pool(r[a:b, :], queries.data[i, :]))
-    return tz.concat(rows, axis=0)
+    return _pool(r, queries.data, *segment_slots(T, queries.count))
 
 
-def align(r: RhythmEmbedding, queries: ContextQueries) -> AlignedRhythm:
-    out = align_tensor(Tensor(r.data), queries)
+def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
+    """Plain segment-mean downsampling (alignment-module ablation)."""
+    slots, inside = segment_slots(r.shape[0], latent_len)
+    weights = inside / inside.sum(axis=1, keepdims=True)
+    return tz.tsum(tz.mul(_gather(r, slots), weights[:, :, None]), axis=1)
+
+
+def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> AlignedRhythm:
+    """Pool `r` onto the queries' timeline by attention (`mode` 'attn') or
+    by segment means ('meanpool'), as a model of that align_mode conditions."""
+    x = Tensor(r.data)
+    out = align_tensor(x, queries) if mode == "attn" else mean_pool_align(x, queries.count)
     spans = segment_spans(r.length, queries.count)
     fps_latent = r.fps * queries.count / r.length
     return AlignedRhythm(data=out.data.copy(), segment_spans=spans, fps_latent=fps_latent)

@@ -55,26 +55,27 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     path = Path(path)
-    lines = read_lines(path.with_suffix(".manifest"))
+    manifest = path.with_suffix(".manifest")
+    lines = read_lines(manifest)
     if not lines or lines[0] != MAGIC:
-        raise ParseError(f"not a format-2 checkpoint manifest: {path}", line=1)
+        raise ParseError("not a format-2 checkpoint manifest", 1, manifest)
     blob_rec = lines[1].split(" ") if len(lines) > 1 else []
     if len(blob_rec) != 3 or blob_rec[0] != "blob":
-        raise ParseError("expected 'blob <byte length> <sha256>'", line=2)
+        raise ParseError("expected 'blob <byte length> <sha256>'", 2, manifest)
 
     kwargs = {}
     for ln, f in enumerate(fields(RunConfig), start=3):
         rec = lines[ln - 1].split(" ") if ln <= len(lines) else []
         if len(rec) != 3 or rec[:2] != ["config", f.name]:
-            raise ParseError(f"expected 'config {f.name} <value>'", line=ln)
+            raise ParseError(f"expected 'config {f.name} <value>'", ln, manifest)
         try:
             kwargs[f.name] = parse_value(f.name, rec[2])
         except ConfigError as e:
-            raise ParseError(str(e), line=ln)
+            raise ParseError(str(e), ln, manifest)
     try:
         cfg = RunConfig(**kwargs)
     except ConfigError as e:
-        raise ParseError(f"checkpoint config: {e}")
+        raise ParseError(f"checkpoint config: {e}", path=manifest)
 
     bin_path = path.with_suffix(".bin")
     blob = bin_path.read_bytes()
@@ -91,7 +92,7 @@ def load_model(path) -> TrainedModel:
     for ln, (w, g) in enumerate(zip(want + [None], lines[first - 1:] + [None]), start=first):
         if w != g:
             show = lambda s: "end of manifest" if s is None else repr(s)
-            raise ParseError(f"expected {show(w)}, found {show(g)}", line=ln)
+            raise ParseError(f"expected {show(w)}, found {show(g)}", ln, manifest)
     off = 0
     for _, t in model.all_tensors():
         t.data = np.frombuffer(blob, dtype="<f8", count=t.data.size,

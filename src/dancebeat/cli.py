@@ -97,7 +97,8 @@ def cmd_align(cfg: RunConfig, args) -> int:
     else:
         rng = np.random.default_rng(cfg.seed)
         queries = align_mod.ContextQueries.init(rng, cfg.latent_len, r.dim)
-    a = align_mod.align(r, queries)
+    # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
+    a = align_mod.align(r, queries, cfg.align_mode)
     align_mod.save_aligned(a, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "align")
     print(f"aligned rhythm {a.data.shape[0]}x{a.data.shape[1]} -> {args.out}")

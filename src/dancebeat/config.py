@@ -5,6 +5,7 @@ defaults are scaled down so the whole pipeline runs on one machine.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -68,13 +69,28 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.cond_drop_prob < 1:
-            raise ConfigError(f"cond_drop_prob must be in [0, 1), got {self.cond_drop_prob}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("cond_drop_prob", "adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         for name in ("batch_size", "epochs", "learning_rate", "scales", "bins",
                      "rhythm_dim", "blocks", "hidden", "heads", "hidden_w", "hidden_a",
-                     "joints", "coords", "cond_len", "cond_dim", "latent_len", "latent_dim"):
+                     "joints", "coords", "cond_len", "cond_dim", "latent_len", "latent_dim",
+                     "fps", "duration_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("amplitude", "noise_std", "grad_clip", "window_frames", "window_latent",
+                     "smooth_sigma"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.base_period < 2:
+            raise ConfigError(f"base_period must be >= 2 frames, got {self.base_period}")
+        if not 0 <= self.rel_threshold <= 1:
+            raise ConfigError(f"rel_threshold must be in [0, 1], got {self.rel_threshold}")
+        if self.duration_s * self.fps > 2 ** 16:  # build_wavelet_bank's cap on kernels
+            raise ConfigError(f"duration_s * fps = {self.duration_s * self.fps} > 2^16 frames")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
         if self.rhythm_mode not in ("learned", "mean", "binary", "none"):

@@ -24,11 +24,13 @@ class NumericalError(DanceBeatError):
 class ParseError(DanceBeatError):
     """A text artifact could not be parsed.
 
-    Carries the 1-based line number when known.
+    Carries the file and the 1-based line number when known.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line

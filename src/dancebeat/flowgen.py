@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as tz
-from .align import ContextQueries, align_tensor, segment_spans
+from .align import ContextQueries, align_tensor, mean_pool_align
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .pose import ConditioningFeatures, MusicLatent, PoseSequence
@@ -128,16 +128,16 @@ def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
 def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
     n, hidden = x.shape
     dh = hidden // heads
-    q = tz.linear(x, blk.wq, blk.bq)
-    k = tz.linear(x, blk.wk, blk.bk)
-    v = tz.linear(x, blk.wv, blk.bv)
-    outs = []
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-        scores = tz.mul(tz.matmul(qh, tz.transpose(kh)), 1.0 / math.sqrt(dh))
-        outs.append(tz.matmul(tz.softmax(scores, axis=1), vh))
-    return tz.linear(tz.concat(outs, axis=1), blk.wo, blk.bo)
+
+    def split(y, axes):  # (n, hidden) -> per-head stack, axes from (n, heads, dh)
+        return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
+
+    q = split(tz.linear(x, blk.wq, blk.bq), (1, 0, 2))  # (heads, n, dh)
+    kt = split(tz.linear(x, blk.wk, blk.bk), (1, 2, 0))  # (heads, dh, n)
+    v = split(tz.linear(x, blk.wv, blk.bv), (1, 0, 2))
+    scores = tz.mul(tz.matmul(q, kt), 1.0 / math.sqrt(dh))
+    out = tz.transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))  # (n, heads, dh)
+    return tz.linear(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
 
 
 def velocity(params: VelocityFieldParams, z_t, t: float,
@@ -217,6 +217,8 @@ def euler_sample(params: VelocityFieldParams | None, rhythm, cond, latent_len: i
         else:
             v = cfg_velocity(vf(z, t_k, rhythm, cond), vf(z, t_k, None, None), cfg_scale)
         z = z + dt * v
+        if not np.isfinite(z).all():
+            raise NumericalError(f"non-finite latent after Euler step {k + 1} of {steps}")
     return MusicLatent(data=z)
 
 
@@ -238,13 +240,6 @@ class TrainedModel:
         out += [(f"rhythm.{n}", t) for n, t in self.rhythm_net.tensors()]
         out += [(f"align.{n}", t) for n, t in self.queries.tensors()]
         return out
-
-
-def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
-    """Plain segment-mean downsampling (alignment-module ablation)."""
-    rows = [tz.tmean(r[a:b, :], axis=0, keepdims=True)
-            for a, b in segment_spans(r.shape[0], latent_len)]
-    return tz.concat(rows, axis=0)
 
 
 def rhythm_condition_tensor(feats: ClipRhythmFeatures, baseline: np.ndarray | None,

@@ -238,23 +238,23 @@ def read_lines(path) -> list[str]:
     try:
         return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: invalid UTF-8", line=raw.count(b"\n", 0, e.start) + 1)
+        raise ParseError("invalid UTF-8", line=raw.count(b"\n", 0, e.start) + 1, path=path)
 
 
 def _fmt_row(row: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in row)
 
 
-def _parse_floats(text: str, n: int, line_no: int, what: str) -> np.ndarray:
+def _parse_floats(text: str, n: int, line_no: int, what: str, path) -> np.ndarray:
     parts = text.split()
     if len(parts) != n:
-        raise ParseError(f"{what}: expected {n} values, found {len(parts)}", line=line_no)
+        raise ParseError(f"{what}: expected {n} values, found {len(parts)}", line_no, path)
     try:
         vals = np.array([float(p) for p in parts])
     except ValueError as e:
-        raise ParseError(f"{what}: {e}", line=line_no)
+        raise ParseError(f"{what}: {e}", line_no, path)
     if not np.isfinite(vals).all():
-        raise ParseError(f"{what}: non-finite value", line=line_no)
+        raise ParseError(f"{what}: non-finite value", line_no, path)
     return vals
 
 
@@ -278,21 +278,21 @@ def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[
     names = header.split()
     head = lines[0].split() if lines else []
     if len(head) != len(names):
-        raise ParseError(f"header must be {header!r}", line=1)
+        raise ParseError(f"header must be {header!r}", 1, path)
     n_int = len(names) - floats
     try:
         values = [int(v) for v in head[:n_int]] + [float(v) for v in head[n_int:]]
     except ValueError as e:
-        raise ParseError(f"bad header: {e}", line=1)
+        raise ParseError(f"bad header: {e}", 1, path)
     if min(values[:n_int]) < 1 or not np.isfinite(values[n_int:]).all():
         raise ParseError(f"bad header {lines[0]!r}: sizes must be positive, floats finite",
-                         line=1)
+                         1, path)
     width = math.prod(values[1:n_int])
-    rows = [_parse_floats(text, width, ln, f"{what} {ln - 2}")
+    rows = [_parse_floats(text, width, ln, f"{what} {ln - 2}", path)
             for ln, text in enumerate(lines[1:], start=2)]
     if len(rows) != values[0]:
         raise ParseError(f"expected {values[0]} {what}s, file has {len(rows)}",
-                         line=len(lines))
+                         len(lines), path)
     return values, np.array(rows)
 
 
@@ -304,7 +304,7 @@ def save_pose_sequence(p: PoseSequence, path) -> None:
 def load_pose_sequence(path) -> PoseSequence:
     (T, J, C, fps), rows = read_matrix(path, "T J C fps", floats=1, what="frame")
     if T < 2:
-        raise ParseError(f"pose sequence needs T >= 2 frames, header says T={T}", line=1)
+        raise ParseError(f"pose sequence needs T >= 2 frames, header says T={T}", 1, path)
     return PoseSequence(data=rows.reshape(T, J, C), fps=fps)
 
 
@@ -334,13 +334,13 @@ def load_beat_grid(path) -> BeatGrid:
     lines = read_lines(path)
     head = lines[0].split() if lines else []
     if len(head) != 2:
-        raise ParseError("header must be 'timeline_len fps'", line=1)
+        raise ParseError("header must be 'timeline_len fps'", 1, path)
     try:
         timeline_len, fps = int(head[0]), float(head[1])
     except ValueError as e:
-        raise ParseError(f"bad header: {e}", line=1)
+        raise ParseError(f"bad header: {e}", 1, path)
     try:
         frames = [int(x) for x in lines[1].split()] if len(lines) > 1 else []
     except ValueError as e:
-        raise ParseError(f"bad beat frame: {e}", line=2)
+        raise ParseError(f"bad beat frame: {e}", 2, path)
     return BeatGrid(beat_frames=frames, timeline_len=timeline_len, fps=fps)

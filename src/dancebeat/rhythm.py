@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .errors import ConfigError
@@ -144,13 +145,17 @@ class RhythmEmbedding:
 
 
 def _conv_cols(signal_2d: np.ndarray, bank: WaveletBank) -> np.ndarray:
-    """conv1d_same of every column of (T, J) against every bank kernel -> (T, J, S)."""
+    """Reflect-padded, length-preserving cross-correlation of every column of
+    (T, J) with every bank kernel -> (T, J, S): one reflect-pad for the
+    longest kernel, then one windowed product per kernel."""
     T, J = signal_2d.shape
+    P = max(k.size for k in bank.kernels) // 2
+    padded = np.ascontiguousarray(signal_2d[tz.reflect_indices(T, P)].T)  # (J, T + 2P)
     out = np.empty((T, J, bank.scales))
-    for j in range(J):
-        col = Tensor(signal_2d[:, j])
-        for s, k in enumerate(bank.kernels):
-            out[:, j, s] = tz.conv1d_same(col, k).data
+    for s, k in enumerate(bank.kernels):
+        p = k.size // 2
+        win = sliding_window_view(padded[:, P - p:P + p + T], k.size, axis=1)  # (J, T, L)
+        out[:, :, s] = np.dot(win, k).T
     return out
 
 
@@ -195,28 +200,28 @@ def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tens
     return tz.softmax(tz.reshape(logits, (Tm1, J)), axis=1)
 
 
+def fusion_features(feats: ClipRhythmFeatures, w: Tensor, bins: int) -> Tensor:
+    """The (T-1, K*S + S) fusion input: joint-weighted sums of the phase
+    histogram columns ((k, s) row-major: a joint's scale-s magnitude where
+    its phase falls in bin k) and then of the S wavelet columns. Bin
+    membership is a constant mask; gradient flows through `w` only."""
+    Tm1, J, S = feats.wavelet.shape
+    columns = np.zeros((Tm1, J, (bins + 1) * S))
+    np.put_along_axis(columns, feats.bin_idx * S + np.arange(S), feats.mag_s, axis=2)
+    columns[:, :, bins * S:] = feats.wavelet
+    return tz.tsum(tz.mul(tz.reshape(w, (Tm1, J, 1)), columns), axis=1)
+
+
 def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams,
                        want_intermediates: bool = False):
     """Differentiable forward pass producing the (T, D) rhythm embedding.
 
     Returns (embedding, gate) or (embedding, gate, intermediates).
     """
-    Tm1, J = feats.magnitude.shape
+    Tm1 = feats.magnitude.shape[0]
     S, K = params.scales, params.bins
     w = joint_weight_tensor(feats, params)
-
-    cols = []
-    # histogram columns, flattened (k, s) row-major: bin membership is a
-    # constant mask; gradient flows through weights and magnitudes only
-    for k in range(K):
-        for s in range(S):
-            mass = feats.mag_s[:, :, s] * (feats.bin_idx[:, :, s] == k)
-            cols.append(tz.tsum(tz.mul(w, mass), axis=1, keepdims=True))
-    # weighted wavelet features, one column per scale
-    for s in range(S):
-        cols.append(tz.tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
-    feat = tz.concat(cols, axis=1)  # (T-1, K*S + S)
-
+    feat = fusion_features(feats, w, K)
     core = tz.linear(feat, params.fuse_w, params.fuse_b)  # (T-1, D)
     gate = tz.sigmoid(tz.linear(tz.relu(tz.linear(core, params.a1, params.ab1)),
                                 params.a2, params.ab2))  # (T-1, 1)

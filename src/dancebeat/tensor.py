@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -201,15 +201,20 @@ def relu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as a batch."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    try:
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+            raise ValueError
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def bwd(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        a._accum(g @ b.data.swapaxes(-1, -2))
+        b._accum(a.data.swapaxes(-1, -2) @ g)
 
-    return _emit(a.data @ b.data, (a, b), bwd)
+    return _emit(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -314,7 +319,7 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 1D convolution with reflect padding
+# reflect padding for 1-D convolution
 
 
 def reflect_indices(n: int, pad: int) -> np.ndarray:
@@ -328,36 +333,6 @@ def reflect_indices(n: int, pad: int) -> np.ndarray:
     period = 2 * (n - 1)
     q = np.mod(pos, period)
     return np.where(q < n, q, period - q).astype(np.intp)
-
-
-def conv1d_same(signal, kernel) -> Tensor:
-    """Cross-correlate a 1-D signal with an odd-length kernel, reflect-padded
-    so the output length equals the input length.
-
-    Adjoints are recorded for the signal path only; the kernel is treated
-    as a constant.
-    """
-    sig = as_tensor(signal)
-    k = kernel.data if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=np.float64)
-    if sig.ndim != 1 or k.ndim != 1:
-        raise ShapeError(f"conv1d_same expects 1-D operands, got {sig.shape} and {k.shape}")
-    L = k.size
-    if L % 2 == 0:
-        raise ConfigError(f"conv1d_same kernel length must be odd, got {L}")
-    T = sig.data.size
-    pad = L // 2
-    idx = reflect_indices(T, pad)
-    padded = sig.data[idx]
-    out = np.correlate(padded, k, mode="valid")
-
-    def bwd(g):
-        if sig.requires_grad:
-            gpad = np.convolve(g, k, mode="full")
-            gsig = np.zeros(T)
-            np.add.at(gsig, idx, gpad)
-            sig._accum(gsig)
-
-    return _emit(out, (sig,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from dancebeat.errors import ConfigError
+from dancebeat import tensor as tz
+from dancebeat.align import segment_spans
+from dancebeat.errors import ConfigError, ShapeError
 from dancebeat.rhythm import phase_bins
+from dancebeat.tensor import Tensor, _emit, reflect_indices
 
 
 def relerr(a: np.ndarray, b: np.ndarray) -> float:
@@ -54,6 +59,93 @@ def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
         return best
 
     return rec(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the unbatched forms of the batched layers: one op per column, bin, segment
+# or head (oracles for tests/test_batched.py)
+
+
+def conv1d_same(signal, kernel) -> Tensor:
+    """Cross-correlate a 1-D signal with an odd-length kernel, reflect-padded
+    so the output length equals the input length. Adjoints are recorded for
+    the signal only."""
+    sig = tz.as_tensor(signal)
+    k = np.asarray(kernel, dtype=np.float64)
+    if sig.ndim != 1 or k.ndim != 1:
+        raise ShapeError(f"conv1d_same expects 1-D operands, got {sig.shape} and {k.shape}")
+    L = k.size
+    if L % 2 == 0:
+        raise ConfigError(f"conv1d_same kernel length must be odd, got {L}")
+    T = sig.data.size
+    idx = reflect_indices(T, L // 2)
+    out = np.correlate(sig.data[idx], k, mode="valid")
+
+    def bwd(g):
+        if sig.requires_grad:
+            gsig = np.zeros(T)
+            np.add.at(gsig, idx, np.convolve(g, k, mode="full"))
+            sig._accum(gsig)
+
+    return _emit(out, (sig,), bwd)
+
+
+def conv_cols_loop(signal_2d: np.ndarray, bank) -> np.ndarray:
+    """conv1d_same of each column against each kernel -> (T, J, S)."""
+    T, J = signal_2d.shape
+    out = np.empty((T, J, bank.scales))
+    for j in range(J):
+        col = Tensor(signal_2d[:, j])
+        for s, k in enumerate(bank.kernels):
+            out[:, j, s] = conv1d_same(col, k).data
+    return out
+
+
+def fusion_features_loop(feats, w: Tensor, bins: int) -> Tensor:
+    """One weighted-sum column per (bin, scale), then one per wavelet scale."""
+    S = feats.wavelet.shape[2]
+    cols = []
+    for k in range(bins):
+        for s in range(S):
+            mass = feats.mag_s[:, :, s] * (feats.bin_idx[:, :, s] == k)
+            cols.append(tz.tsum(tz.mul(w, mass), axis=1, keepdims=True))
+    for s in range(S):
+        cols.append(tz.tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
+    return tz.concat(cols, axis=1)
+
+
+def attention_pool_loop(seg: Tensor, q: Tensor) -> Tensor:
+    """Pool an (n, D) segment with a (D,) query into a (1, D) row."""
+    n, dim = seg.shape
+    scores = tz.mul(tz.matmul(seg, tz.reshape(q, (dim, 1))), 1.0 / math.sqrt(dim))
+    return tz.matmul(tz.transpose(tz.softmax(scores, axis=0)), seg)
+
+
+def align_loop(r: Tensor, queries: Tensor) -> Tensor:
+    """Each query pools its own segment of r, one segment at a time."""
+    spans = segment_spans(r.shape[0], queries.shape[0])
+    return tz.concat([attention_pool_loop(r[a:b, :], queries[i, :])
+                      for i, (a, b) in enumerate(spans)], axis=0)
+
+
+def mean_pool_loop(r: Tensor, latent_len: int) -> Tensor:
+    return tz.concat([tz.tmean(r[a:b, :], axis=0, keepdims=True)
+                      for a, b in segment_spans(r.shape[0], latent_len)], axis=0)
+
+
+def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
+    """Multi-head self-attention, one head's slice at a time."""
+    n, hidden = x.shape
+    dh = hidden // heads
+    q = tz.linear(x, blk.wq, blk.bq)
+    k = tz.linear(x, blk.wk, blk.bk)
+    v = tz.linear(x, blk.wv, blk.bv)
+    outs = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = tz.mul(tz.matmul(q[:, sl], tz.transpose(k[:, sl])), 1.0 / math.sqrt(dh))
+        outs.append(tz.matmul(tz.softmax(scores, axis=1), v[:, sl]))
+    return tz.linear(tz.concat(outs, axis=1), blk.wo, blk.bo)
 
 
 @pytest.fixture

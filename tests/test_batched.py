@@ -1,0 +1,188 @@
+"""The batched alignment, histogram, attention and wavelet paths agree with
+their one-op-per-segment/bin/head/column forms in tests/conftest.py."""
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dancebeat import align, flowgen, pose, rhythm, tensor as tz
+from dancebeat.config import RunConfig
+from dancebeat.errors import ShapeError
+from dancebeat.tensor import Tape, Tensor, backward
+
+from conftest import (align_loop, attention_pool_loop, conv_cols_loop, finite_difference,
+                      fusion_features_loop, mean_pool_loop, relerr, self_attention_loop)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def value_and_grads(build, leaves, c):
+    """build()'s value and the gradients of sum(build() * c) at `leaves`."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    with Tape():
+        out = build()
+        backward(tz.tsum(tz.mul(out, c)))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_same(batched, loop, leaves, c, tol=1e-12):
+    got, got_g = value_and_grads(batched, leaves, c)
+    want, want_g = value_and_grads(loop, leaves, c)
+    assert relerr(got, want) < tol
+    for g, w in zip(got_g, want_g):
+        assert relerr(g, w) < tol
+
+
+@st.composite
+def segmentations(draw):
+    T = draw(st.integers(1, 40))
+    return T, draw(st.integers(1, T)), draw(st.integers(1, 6))
+
+
+class TestAlignment:
+    @given(segmentations(), st.sampled_from([1.0, 1e3]), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_masked_softmax_matches_segment_loop(self, shape, scale, seed):
+        T, count, D = shape
+        rng = np.random.default_rng(seed)
+        r = Tensor(rng.standard_normal((T, D)), requires_grad=True)
+        q = align.ContextQueries(Tensor(scale * rng.standard_normal((count, D)),
+                                        requires_grad=True))
+        assert_same(lambda: align.align_tensor(r, q), lambda: align_loop(r, q.data),
+                    [r, q.data], rng.standard_normal((count, D)))
+
+    @given(segmentations(), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_mean_pool_matches_segment_loop(self, shape, seed):
+        T, count, D = shape
+        rng = np.random.default_rng(seed)
+        r = Tensor(rng.standard_normal((T, D)), requires_grad=True)
+        assert_same(lambda: flowgen.mean_pool_align(r, count), lambda: mean_pool_loop(r, count),
+                    [r], rng.standard_normal((count, D)))
+
+    @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_attention_pool_is_the_one_segment_case(self, n, D, seed):
+        rng = np.random.default_rng(seed)
+        seg = Tensor(rng.standard_normal((n, D)), requires_grad=True)
+        q = Tensor(1e3 * rng.standard_normal(D), requires_grad=True)
+        assert_same(lambda: align.attention_pool(seg, q), lambda: attention_pool_loop(seg, q),
+                    [seg, q], rng.standard_normal((1, D)))
+
+    @pytest.mark.parametrize("T", [1, 7, 150])
+    def test_one_frame_per_query_is_identity(self, rng, T):
+        r = Tensor(rng.standard_normal((T, 5)))
+        q = align.ContextQueries.init(rng, T, 5)
+        assert np.array_equal(align.align_tensor(r, q).data, r.data)
+        assert np.array_equal(flowgen.mean_pool_align(r, T).data, r.data)
+
+    def test_segment_slots_partition_the_frames(self):
+        slots, inside = align.segment_slots(10, 3)
+        assert slots.tolist() == [[0, 1, 2, 3], [4, 5, 6, 10], [7, 8, 9, 10]]
+        assert inside.tolist() == [[True] * 4, [True] * 3 + [False], [True] * 3 + [False]]
+
+    def test_masked_softmax_gradients_vs_fd(self, rng):
+        r = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        q = align.ContextQueries(Tensor(rng.standard_normal((3, 3)), requires_grad=True))
+        c = rng.standard_normal((3, 3))
+        _, grads = value_and_grads(lambda: align.align_tensor(r, q), [r, q.data], c)
+
+        def loss():
+            return float((align.align_tensor(r, q).data * c).sum())
+
+        for leaf, g in zip([r, q.data], grads):
+            assert relerr(g, finite_difference(loss, leaf.data)) < 1e-8
+
+
+class TestAttentionHeads:
+    @given(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(1, 12),
+           st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_head_batch_matches_head_loop(self, heads, dh, n, seed):
+        hidden = heads * dh
+        vf = flowgen.VelocityFieldParams.init(np.random.default_rng(seed), 1, hidden, heads,
+                                              latent_dim=2, rhythm_dim=2, cond_dim=2)
+        blk = vf.layers[0]
+        rng = np.random.default_rng(seed + 1)
+        x = Tensor(3.0 * rng.standard_normal((n, hidden)), requires_grad=True)
+        leaves = [x, blk.wq, blk.wk, blk.bk, blk.wv, blk.wo]
+        assert_same(lambda: flowgen._self_attention(x, blk, heads),
+                    lambda: self_attention_loop(x, blk, heads),
+                    leaves, rng.standard_normal((n, hidden)))
+
+
+class TestBatchedMatmul:
+    @pytest.mark.parametrize("sa, sb", [((2, 3, 4), (2, 4, 5)), ((3, 4), (2, 4, 5)),
+                                        ((2, 3, 4), (4, 5)), ((2, 1, 3, 4), (3, 4, 2))])
+    def test_grad_vs_fd(self, rng, sa, sb):
+        a = Tensor(rng.standard_normal(sa), requires_grad=True)
+        b = Tensor(rng.standard_normal(sb), requires_grad=True)
+        c = rng.standard_normal(np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1]))
+        _, grads = value_and_grads(lambda: tz.matmul(a, b), [a, b], c)
+        assert grads[0].shape == sa and grads[1].shape == sb
+        for leaf, g in zip([a, b], grads):
+            fd = finite_difference(lambda: float((np.matmul(a.data, b.data) * c).sum()),
+                                   leaf.data)
+            assert relerr(g, fd) < 1e-8
+
+    def test_each_batch_is_its_matrix_product(self, rng):
+        a, b = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 4, 5))
+        out = tz.matmul(Tensor(a), Tensor(b)).data
+        assert all(np.array_equal(out[i], a[i] @ b[i]) for i in range(3))
+
+    @pytest.mark.parametrize("sa, sb", [((2, 3, 4), (2, 3, 5)), ((2, 3, 4), (3, 4, 5)),
+                                        ((3, 4), (4,))])
+    def test_incompatible_shapes(self, sa, sb):
+        with pytest.raises(ShapeError, match=re.escape(f"{sa} and {sb}")):
+            tz.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
+
+@st.composite
+def poses(draw):
+    T, J = draw(st.integers(3, 40)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return pose.PoseSequence(data=rng.uniform(0, 1, (T, J, 2)), fps=30.0)
+
+
+class TestRhythmColumns:
+    @given(poses(), st.integers(1, 4), st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    @PROPERTY
+    def test_wavelet_columns_match_column_loop(self, p, scales, base_period):
+        bank = rhythm.build_wavelet_bank(scales, base_period)
+        m = pose.motion_diff(p)
+        for signal in (m.magnitude, m.diffs[:, :, 0], m.diffs[:, :, 1]):
+            assert relerr(rhythm._conv_cols(signal, bank), conv_cols_loop(signal, bank)) < 1e-12
+
+    @given(poses(), st.integers(1, 3), st.integers(2, 8))
+    @PROPERTY
+    def test_fusion_contraction_matches_bin_loop(self, p, scales, bins):
+        feats = rhythm.clip_features(p, rhythm.build_wavelet_bank(scales, 2.0), bins)
+        rng = np.random.default_rng(p.frames)
+        w = Tensor(rng.dirichlet(np.ones(feats.magnitude.shape[1]), feats.magnitude.shape[0]),
+                   requires_grad=True)
+        assert_same(lambda: rhythm.fusion_features(feats, w, bins),
+                    lambda: fusion_features_loop(feats, w, bins),
+                    [w], rng.standard_normal((feats.magnitude.shape[0], (bins + 1) * scales)))
+
+
+def clip_step_nodes(latent_len: int) -> int:
+    """Tape nodes of one training clip-step (forward and loss) at desk shape."""
+    cfg = RunConfig(latent_len=latent_len)
+    model = flowgen.init_model(cfg)
+    p, _ = pose.synth_dance(120.0, cfg.duration_s, cfg.fps, cfg.joints, seed=1)
+    feats = rhythm.clip_features(p, model.bank, cfg.bins)
+    z1 = np.random.default_rng(0).standard_normal((latent_len, cfg.latent_dim))
+    cond = pose.synth_conditioning(cfg.cond_len, cfg.cond_dim)
+    with Tape() as tape:
+        rcond = flowgen.rhythm_condition_tensor(feats, None, model)
+        tz.mul(flowgen.cfm_loss(model, z1, 0.5 * z1, 0.3, rcond, cond), 0.25)
+        return len(tape)
+
+
+def test_clip_step_tape_is_small_and_independent_of_latent_len():
+    counts = {n: clip_step_nodes(n) for n in (10, 50, 150)}
+    assert counts[50] <= 150, counts
+    assert len(set(counts.values())) == 1, counts

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dancebeat import metrics, pose
+from dancebeat import flowgen, metrics, pose, rhythm
 from dancebeat.cli import main
 from dancebeat.clicktrack import read_wav_header
+from dancebeat.config import RunConfig
+from dancebeat.tensor import Tensor
 
 TINY_CFG = """\
 scales = 2
@@ -280,3 +282,58 @@ class TestPoseFrameRate:
             assert len(onsets) == len(want) > 0
             # a click is a sine burst from phase 0: its first nonzero sample follows the beat's
             assert all(abs(a - b) <= 2 for a, b in zip(onsets, want)), (onsets, want)
+
+
+class TestAlignMode:
+    def test_meanpool_checkpoint_aligns_by_segment_means(self, tmp_path):
+        cfg = tmp_path / "mp.cfg"
+        cfg.write_text(TINY_CFG + "align_mode = 'meanpool'\n")
+        data, ckpt = tmp_path / "data", tmp_path / "model"
+        r_path, a_path = tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
+        assert run("--config", str(cfg), "synth", "--out", str(data), "--n-clips", "2") == 0
+        assert run("--config", str(cfg), "train", "--data", str(data), "--out", str(ckpt)) == 0
+        assert run("--config", str(cfg), "extract", "--ckpt", str(ckpt),
+                   "--pose", str(data / "clip_000.pose"), "--out", str(r_path)) == 0
+        assert run("--config", str(cfg), "align", "--ckpt", str(ckpt),
+                   "--rhythm", str(r_path), "--out", str(a_path)) == 0
+        r = rhythm.load_rhythm(r_path)
+        want = flowgen.mean_pool_align(Tensor(r.data), 10).data
+        got = pose.read_matrix(a_path, "T_m D fps", floats=1)[1]
+        assert np.array_equal(got, want)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("line, needle", [
+        ("fps = nan", "fps must be finite"),
+        ("duration_s = inf", "duration_s must be finite"),
+        ("duration_s = 1e300", "> 2^16 frames"),
+        ("duration_s = 2185.0", "> 2^16 frames"),
+        ("learning_rate = nan", "learning_rate must be finite"),
+        ("adam_beta2 = 1.0", "adam_beta2 must be in [0, 1)"),
+        ("noise_std = -0.1", "noise_std must be >= 0"),
+        ("rel_threshold = 1.5", "rel_threshold must be in [0, 1]"),
+        ("base_period = 1.5", "base_period must be >= 2"),
+    ])
+    def test_bad_float_is_one_error_line(self, tmp_path, capsys, line, needle):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc, err = run_err(capsys, "--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
+                          "--n-clips", "1")
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
+        assert needle in err[0]
+        assert not (tmp_path / "d").exists()
+
+    def test_longest_clip_still_accepted(self):
+        RunConfig(duration_s=2184.0, fps=30.0)  # 65520 frames
+
+
+class TestParseErrorsNameTheFile:
+    def test_bad_generated_latent(self, tmp_path, cfg_file, capsys):
+        data = tmp_path / "data"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "2") == 0
+        bad = data / "clip_001.latent"
+        bad.write_text("10 x\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate",
+                          "--data", str(data), "--generated", str(data))
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith(f"error: {bad}: line 1: bad header: "), err

@@ -5,7 +5,7 @@ import pytest
 
 from dancebeat import flowgen, tensor as tz
 from dancebeat.align import ContextQueries
-from dancebeat.errors import ConfigError
+from dancebeat.errors import ConfigError, NumericalError
 from dancebeat.config import RunConfig
 from dancebeat.flowgen import (TrainedModel,
                                cfg_velocity, cfm_loss, euler_sample, train,
@@ -167,6 +167,17 @@ class TestEulerSample:
         euler_sample(m.vf, rng.standard_normal((4, 6)), None, 4, 3, 4.0, 0)
         for n, t in m.vf.tensors():
             assert np.array_equal(before[n], t.data)
+
+    def test_first_non_finite_step_is_named(self):
+        calls = []
+
+        def field(z, t, r, c):
+            calls.append(t)
+            return np.full(z.shape, np.inf if len(calls) == 3 else 1.0)
+
+        with pytest.raises(NumericalError, match="Euler step 3 of 8"):
+            euler_sample(None, None, None, 2, 8, 1.0, 0, velocity_fn=field, latent_dim=2)
+        assert len(calls) == 3
 
 
 class TestTrain:

@@ -9,7 +9,7 @@ from dancebeat.errors import ConfigError
 from dancebeat.pose import PoseSequence, motion_diff, synth_dance
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import finite_difference, phase_histograms, relerr
+from conftest import conv1d_same, finite_difference, phase_histograms, relerr
 
 
 def tiny_params(rng, scales=2, bins=4, dim=3):
@@ -39,8 +39,8 @@ class TestWaveletBank:
         for s, lam in enumerate(bank.periods):
             on = np.sin(2 * math.pi * t / lam)
             off = np.sin(2 * math.pi * t / (4 * lam))
-            r_on = np.abs(tz.conv1d_same(Tensor(on), bank.kernels[s]).data).max()
-            r_off = np.abs(tz.conv1d_same(Tensor(off), bank.kernels[s]).data).max()
+            r_on = np.abs(conv1d_same(Tensor(on), bank.kernels[s]).data).max()
+            r_off = np.abs(conv1d_same(Tensor(off), bank.kernels[s]).data).max()
             assert r_on >= 3 * r_off
 
 

