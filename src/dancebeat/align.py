@@ -13,7 +13,6 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError
-from .pose import write_matrix
 from .rhythm import RhythmEmbedding
 from .tensor import Tensor
 
@@ -39,15 +38,6 @@ class ContextQueries:
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("queries", self.data)]
-
-
-@dataclass
-class AlignedRhythm:
-    """T_m x D rhythm features on the latent timeline."""
-
-    data: np.ndarray
-    segment_spans: list[tuple[int, int]]
-    fps_latent: float
 
 
 def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
@@ -115,18 +105,10 @@ def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
     return tz.tsum(tz.mul(_gather(r, slots), weights[:, :, None]), axis=1)
 
 
-def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> AlignedRhythm:
-    """Pool `r` onto the queries' timeline by attention (`mode` 'attn') or
-    by segment means ('meanpool'), as a model of that align_mode conditions."""
+def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> RhythmEmbedding:
+    """Pool `r` onto the queries' timeline, at the latent frame rate, by
+    attention (`mode` 'attn') or by segment means ('meanpool'), as a model
+    of that align_mode conditions."""
     x = Tensor(r.data)
     out = align_tensor(x, queries) if mode == "attn" else mean_pool_align(x, queries.count)
-    spans = segment_spans(r.length, queries.count)
-    fps_latent = r.fps * queries.count / r.length
-    return AlignedRhythm(data=out.data.copy(), segment_spans=spans, fps_latent=fps_latent)
-
-
-# text export: header "T_m D fps_latent" then rows
-
-
-def save_aligned(a: AlignedRhythm, path) -> None:
-    write_matrix(path, (*a.data.shape, float(a.fps_latent)), a.data)
+    return RhythmEmbedding(data=out.data.copy(), fps=r.fps * queries.count / r.length)

@@ -1,7 +1,7 @@
 """Checkpoint format: a UTF-8 manifest plus a raw little-endian float64 blob.
 
 Manifest lines, in this order:
-    dancebeat-checkpoint 2
+    dancebeat-checkpoint 3
     blob <byte length> <sha256 hex digest>
     config <key> <value>          (every RunConfig field, in field order)
     tensor <name> <d1[,d2,...]> <byte offset>
@@ -25,7 +25,7 @@ from .errors import ConfigError, ParseError
 from .flowgen import TrainedModel, init_model, parameter_count
 from .pose import read_lines
 
-MAGIC = "dancebeat-checkpoint 2"
+MAGIC = "dancebeat-checkpoint 3"
 
 # RunConfig fields a checkpoint fixes: model shapes, timeline and ablation switches
 MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden_a",
@@ -58,7 +58,8 @@ def load_model(path) -> TrainedModel:
     manifest = path.with_suffix(".manifest")
     lines = read_lines(manifest)
     if not lines or lines[0] != MAGIC:
-        raise ParseError("not a format-2 checkpoint manifest", 1, manifest)
+        found = repr(lines[0][:40]) if lines else "an empty file"
+        raise ParseError(f"expected {MAGIC!r}, found {found}", 1, manifest)
     blob_rec = lines[1].split(" ") if len(lines) > 1 else []
     if len(blob_rec) != 3 or blob_rec[0] != "blob":
         raise ParseError("expected 'blob <byte length> <sha256>'", 2, manifest)

@@ -99,9 +99,9 @@ def cmd_align(cfg: RunConfig, args) -> int:
         queries = align_mod.ContextQueries.init(rng, cfg.latent_len, r.dim)
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
     a = align_mod.align(r, queries, cfg.align_mode)
-    align_mod.save_aligned(a, args.out)
+    rhythm.save_rhythm(a, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "align")
-    print(f"aligned rhythm {a.data.shape[0]}x{a.data.shape[1]} -> {args.out}")
+    print(f"aligned rhythm {a.length}x{a.dim} -> {args.out}")
     return 0
 
 

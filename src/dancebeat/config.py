@@ -60,10 +60,7 @@ class RunConfig:
     steps: int = 32
     cfg_scale: float = 4.0
     # evaluation
-    window_frames: float = 3.0
     window_latent: float = 1.0
-    smooth_sigma: float = 2.0
-    min_separation: int = 4
     rel_threshold: float = 0.5
     # master seed
     seed: int = 0
@@ -81,8 +78,7 @@ class RunConfig:
                      "fps", "duration_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("amplitude", "noise_std", "grad_clip", "window_frames", "window_latent",
-                     "smooth_sigma"):
+        for name in ("amplitude", "noise_std", "grad_clip", "window_latent"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.base_period < 2:

@@ -32,8 +32,7 @@ class TransformerBlock:
     ln1_b: Tensor
     wq: Tensor
     bq: Tensor
-    wk: Tensor
-    bk: Tensor
+    wk: Tensor  # no key bias: it shifts a query's scores equally, which softmax cancels
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -99,7 +98,7 @@ class VelocityFieldParams:
             layers=[TransformerBlock(
                 ln1_g=ones(), ln1_b=tz.zeros(hidden),
                 wq=w(hidden, hidden), bq=tz.zeros(hidden),
-                wk=w(hidden, hidden), bk=tz.zeros(hidden),
+                wk=w(hidden, hidden),
                 wv=w(hidden, hidden), bv=tz.zeros(hidden),
                 wo=w(hidden, hidden), bo=tz.zeros(hidden),
                 ln2_g=ones(), ln2_b=tz.zeros(hidden),
@@ -133,7 +132,7 @@ def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
         return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
 
     q = split(tz.linear(x, blk.wq, blk.bq), (1, 0, 2))  # (heads, n, dh)
-    kt = split(tz.linear(x, blk.wk, blk.bk), (1, 2, 0))  # (heads, dh, n)
+    kt = split(tz.linear(x, blk.wk), (1, 2, 0))  # (heads, dh, n)
     v = split(tz.linear(x, blk.wv, blk.bv), (1, 0, 2))
     scores = tz.mul(tz.matmul(q, kt), 1.0 / math.sqrt(dh))
     out = tz.transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))  # (n, heads, dh)
@@ -317,8 +316,8 @@ def parameter_count(cfg: RunConfig) -> int:
     out without allocating them."""
     S, D, h, b, ld = cfg.scales, cfg.rhythm_dim, cfg.hidden, cfg.blocks, cfg.latent_dim
     rhythm_net = ((1 + S) * cfg.hidden_w + 2 * cfg.hidden_w + (cfg.bins + 1) * S * D + D
-                  + D * cfg.hidden_a + 2 * cfg.hidden_a + 2)
-    vf = (2 + 12 * b) * h * h + (cfg.cond_dim + D + 2 * ld + 9 + 13 * b) * h + ld
+                  + D * cfg.hidden_a + 2 * cfg.hidden_a + 1)
+    vf = (2 + 12 * b) * h * h + (cfg.cond_dim + D + 2 * ld + 9 + 12 * b) * h + ld
     return rhythm_net + cfg.latent_len * D + vf
 
 
@@ -357,11 +356,8 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
     baselines = [_baseline_rhythm(pose, cfg.rhythm_mode, cfg.rhythm_dim)
                  for pose, _, _ in dataset]
 
+    # a group the mode leaves out of the loss gets no gradient, so Adam leaves it as it is
     trainable = [t for _, t in model.all_tensors()]
-    if cfg.rhythm_mode != "learned":
-        trainable = [t for n, t in model.all_tensors() if not n.startswith("rhythm.")]
-    if cfg.align_mode != "attn" or cfg.rhythm_mode == "none":
-        trainable = [t for t in trainable if t is not model.queries.data]
     opt = Adam(trainable, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
     rng = np.random.default_rng(cfg.seed + 1)
 

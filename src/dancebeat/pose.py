@@ -58,6 +58,8 @@ class BeatGrid:
         self.beat_frames = [int(f) for f in self.beat_frames]
         if self.timeline_len < 1:
             raise ConfigError(f"beat timeline length must be positive, got {self.timeline_len}")
+        if not 0 < self.fps < math.inf:
+            raise ConfigError(f"beat grid fps must be finite and positive, got {self.fps}")
         prev = -1
         for f in self.beat_frames:
             if not (0 <= f < self.timeline_len):
@@ -343,4 +345,7 @@ def load_beat_grid(path) -> BeatGrid:
         frames = [int(x) for x in lines[1].split()] if len(lines) > 1 else []
     except ValueError as e:
         raise ParseError(f"bad beat frame: {e}", 2, path)
-    return BeatGrid(beat_frames=frames, timeline_len=timeline_len, fps=fps)
+    try:
+        return BeatGrid(beat_frames=frames, timeline_len=timeline_len, fps=fps)
+    except ConfigError as e:
+        raise ParseError(str(e), path=path)

@@ -29,7 +29,6 @@ class WaveletBank:
     """Real cosine-phase Gabor kernels on a dyadic period ladder."""
 
     scales: int
-    base_period: float
     kernels: list[np.ndarray]
     periods: list[float]
 
@@ -56,7 +55,7 @@ def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
         k /= np.linalg.norm(k)
         kernels.append(k)
         periods.append(lam)
-    return WaveletBank(scales=scales, base_period=base_period, kernels=kernels, periods=periods)
+    return WaveletBank(scales=scales, kernels=kernels, periods=periods)
 
 
 @dataclass
@@ -65,11 +64,9 @@ class RhythmParams:
 
     scales: int
     bins: int
-    dim: int
     w1: Tensor
     b1: Tensor
     w2: Tensor
-    b2: Tensor
     fuse_w: Tensor
     fuse_b: Tensor
     a1: Tensor
@@ -83,11 +80,10 @@ class RhythmParams:
         fin = 1 + scales
         fuse_in = bins * scales + scales
         return cls(
-            scales=scales, bins=bins, dim=dim,
+            scales=scales, bins=bins,
             w1=tz.init_uniform(rng, (fin, hidden_w), fin),
             b1=tz.zeros(hidden_w),
             w2=tz.init_uniform(rng, (hidden_w, 1), hidden_w),
-            b2=tz.zeros(1),
             fuse_w=tz.init_uniform(rng, (fuse_in, dim), fuse_in),
             fuse_b=tz.zeros(dim),
             a1=tz.init_uniform(rng, (dim, hidden_a), dim),
@@ -114,8 +110,6 @@ class ClipRhythmFeatures:
     my: np.ndarray          # (T-1, J, S) filtered y displacement
     mag_s: np.ndarray       # (T-1, J, S) per-scale magnitude sqrt(mx^2 + my^2)
     bin_idx: np.ndarray     # (T-1, J, S) phase bin per sample
-    frames: int             # original clip length T
-    fps: float
 
 
 @dataclass
@@ -184,19 +178,19 @@ def clip_features(p: PoseSequence, bank: WaveletBank, bins: int) -> ClipRhythmFe
     m = motion_diff(p)
     w = wavelet_features(m, bank)
     mx, my, mag_s = scale_components(m, bank)
-    return ClipRhythmFeatures(
-        magnitude=m.magnitude, wavelet=w, mx=mx, my=my, mag_s=mag_s,
-        bin_idx=phase_bins(mx, my, bins), frames=p.frames, fps=p.fps,
-    )
+    return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=w, mx=mx, my=my, mag_s=mag_s,
+                              bin_idx=phase_bins(mx, my, bins))
 
 
 def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tensor:
-    """Softmax joint weights from the shared two-layer net, (T-1, J)."""
+    """Softmax joint weights from the shared two-layer net, (T-1, J). The
+    output layer has no bias: one added to every joint's logit cancels in
+    the softmax."""
     Tm1, J = feats.magnitude.shape
     x = np.concatenate([feats.magnitude[:, :, None], feats.wavelet], axis=2)  # (T-1, J, 1+S)
     flat = Tensor(x.reshape(Tm1 * J, 1 + params.scales))
     h = tz.relu(tz.linear(flat, params.w1, params.b1))
-    logits = tz.linear(h, params.w2, params.b2)
+    logits = tz.linear(h, params.w2)
     return tz.softmax(tz.reshape(logits, (Tm1, J)), axis=1)
 
 

@@ -33,9 +33,6 @@ class Tape:
     def record(self, out: "Tensor", backward_fn) -> None:
         self._records.append((out, backward_fn))
 
-    def reset(self) -> None:
-        self._records.clear()
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -150,26 +147,6 @@ def mul(a, b) -> Tensor:
         b._accum(g * a.data)
 
     return _emit(a.data * b.data, (a, b), bwd)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * y)
-
-    return _emit(y, (a,), bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.sqrt(a.data)
-
-    def bwd(g):
-        a._accum(g * 0.5 / y)
-
-    return _emit(y, (a,), bwd)
 
 
 def sigmoid(a) -> Tensor:

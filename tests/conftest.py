@@ -138,7 +138,7 @@ def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
     n, hidden = x.shape
     dh = hidden // heads
     q = tz.linear(x, blk.wq, blk.bq)
-    k = tz.linear(x, blk.wk, blk.bk)
+    k = tz.linear(x, blk.wk)
     v = tz.linear(x, blk.wv, blk.bv)
     outs = []
     for h in range(heads):

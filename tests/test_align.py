@@ -92,7 +92,7 @@ class TestAlign:
         data = rng.standard_normal((17, 4))
         r = RhythmEmbedding(data=data, fps=30)
         out = align.align(r, self._queries(rng, 5, 4))
-        for i, (a, b) in enumerate(out.segment_spans):
+        for i, (a, b) in enumerate(align.segment_spans(17, 5)):
             lo, hi = data[a:b].min(axis=0), data[a:b].max(axis=0)
             assert (out.data[i] >= lo - 1e-12).all()
             assert (out.data[i] <= hi + 1e-12).all()

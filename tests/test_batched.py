@@ -108,7 +108,7 @@ class TestAttentionHeads:
         blk = vf.layers[0]
         rng = np.random.default_rng(seed + 1)
         x = Tensor(3.0 * rng.standard_normal((n, hidden)), requires_grad=True)
-        leaves = [x, blk.wq, blk.wk, blk.bk, blk.wv, blk.wo]
+        leaves = [x, blk.wq, blk.wk, blk.wv, blk.wo]
         assert_same(lambda: flowgen._self_attention(x, blk, heads),
                     lambda: self_attention_loop(x, blk, heads),
                     leaves, rng.standard_normal((n, hidden)))

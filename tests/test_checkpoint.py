@@ -156,3 +156,7 @@ class TestCheckpointIntegrity:
     def test_parameter_count_is_exact(self, kw):
         model = init_model(tiny_tc(**kw))
         assert parameter_count(model.config) == sum(t.data.size for _, t in model.all_tensors())
+
+    def test_desk_model_size(self):
+        assert parameter_count(RunConfig()) == 120_985
+        assert len(init_model(RunConfig()).all_tensors()) == 56

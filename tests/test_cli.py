@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dancebeat import flowgen, metrics, pose, rhythm
+from dancebeat import checkpoint, flowgen, metrics, pose, rhythm
 from dancebeat.cli import main
 from dancebeat.clicktrack import read_wav_header
-from dancebeat.config import RunConfig
+from dancebeat.config import RunConfig, load_config
 from dancebeat.tensor import Tensor
 
 TINY_CFG = """\
@@ -160,12 +160,21 @@ class TestTopLevel:
         assert run("--print-config") == 0
         out = capsys.readouterr().out
         assert "seed = 0" in out and "# reference default" in out
+        assert len(out.splitlines()) == 36
 
     def test_bad_config_file(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("nope = 1\n")
         assert run("--config", str(p), "--print-config") == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["window_frames = 3.0", "smooth_sigma = 2.0",
+                                      "min_separation = 4"])
+    def test_removed_config_keys(self, tmp_path, capsys, line):
+        p = tmp_path / "old.cfg"
+        p.write_text(line + "\n")
+        rc, err = run_err(capsys, "--config", str(p), "--print-config")
+        assert rc == 1 and len(err) == 1 and "unknown config key" in err[0], err
 
     def test_missing_pose_file(self, tmp_path, capsys):
         assert run("extract", "--pose", str(tmp_path / "nope.pose"),
@@ -220,6 +229,25 @@ class TestMalformedInputs:
         r.write_text("\n".join(lines) + "\n")
         self.assert_one_error(*run_err(capsys, "--config", cfg_file, "align",
                                        "--rhythm", str(r), "--out", str(tmp_path / "a")))
+
+    @pytest.mark.parametrize("fps", ["0", "-30", "inf", "nan"])
+    def test_beats_fps(self, tmp_path, cfg_file, data, capsys, fps):
+        beats = data / "clip_000.beats"
+        beats.write_text(f"10 {fps}\n2 5\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate",
+                          "--data", str(data), "--generated", str(data))
+        self.assert_one_error(rc, err)
+        assert str(beats) in err[0] and "fps must be finite and positive" in err[0], err
+
+    def test_format_2_checkpoint(self, tmp_path, cfg_file, data, capsys):
+        ckpt = tmp_path / "model"
+        checkpoint.save_model(flowgen.init_model(load_config(cfg_file)), ckpt)
+        m = ckpt.with_suffix(".manifest")
+        m.write_text(m.read_text().replace(checkpoint.MAGIC, "dancebeat-checkpoint 2", 1))
+        rc, err = run_err(capsys, "--config", cfg_file, "generate", "--ckpt", str(ckpt),
+                          "--pose", str(data / "clip_000.pose"), "--out", str(tmp_path / "z"))
+        self.assert_one_error(rc, err)
+        assert "dancebeat-checkpoint 2" in err[0], err
 
     def test_invalid_utf8(self, tmp_path, cfg_file, data, capsys):
         p = data / "clip_000.pose"

@@ -227,6 +227,22 @@ class TestTrain:
             assert any(t.grad is not None and np.abs(t.grad).max() > 0
                        for _n, t in group)
 
+    def test_every_tensor_gets_a_gradient(self):
+        # a clip-step's conditioned loss plus its dropped-conditioning loss,
+        # which is the only one that reaches the null tokens
+        (pose, z1, cond), = tiny_dataset(1)
+        model = flowgen.init_model(tiny_tc())
+        feats = clip_features(pose, model.bank, model.config.bins)
+        z0 = np.random.default_rng(0).standard_normal(z1.data.shape)
+        with Tape():
+            rcond = flowgen.rhythm_condition_tensor(feats, None, model)
+            backward(cfm_loss(model, z1.data, z0, 0.5, rcond, cond))
+            backward(cfm_loss(model, z1.data, z0, 0.5, None, None))
+        peak = {n: 0.0 if t.grad is None else float(np.abs(t.grad).max())
+                for n, t in model.all_tensors()}
+        top = max(peak.values())
+        assert {n: g for n, g in peak.items() if not g > 1e-9 * top} == {}
+
 
 class TestAblationModes:
     @pytest.mark.parametrize("mode", ["mean", "binary", "none"])

@@ -124,12 +124,11 @@ class TestJointWeights:
         params.w1.data = np.array([[1.0], [2.0]])  # input (mag, W) -> hidden
         params.b1.data = np.array([0.0])
         params.w2.data = np.array([[1.0]])
-        params.b2.data = np.array([0.0])
         mag = np.array([[0.5, 0.25]])
         wav = np.array([[[0.1], [0.2]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=None,
-            bin_idx=None, frames=2, fps=30)
+            bin_idx=None)
         w = rhythm.joint_weight_tensor(feats, params).data
         # logits: relu(0.5 + 2*0.1) = 0.7 ; relu(0.25 + 2*0.2) = 0.65
         expect = np.exp([0.7, 0.65]) / np.exp([0.7, 0.65]).sum()
@@ -220,7 +219,7 @@ class TestFuseAndExtract:
         bin_idx = np.array([[[0]], [[1]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=mag_s,
-            bin_idx=bin_idx, frames=3, fps=30)
+            bin_idx=bin_idx)
         out, gate = rhythm.rhythm_core_tensor(feats, params)
         # frame 0: h = [1, 0], ww = 0.5 -> core = [1+2*0.5, 0] = [2, 0]
         # frame 1: h = [0, 2], ww = 0.25 -> core = [0.5, 2]
