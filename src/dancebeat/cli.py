@@ -51,6 +51,8 @@ def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    if args.n_clips < 1:
+        raise ConfigError(f"--n-clips must be at least 1, got {args.n_clips}")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"{out} is not empty; pass --force to overwrite")
@@ -124,12 +126,12 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     cond = pose.load_conditioning(args.cond) if args.cond else None
     z = flowgen.generate(model, p, cond, cfg.steps, cfg.cfg_scale, cfg.seed,
                          conditioned=not args.unconditional)
-    pose.save_latent(z, args.out)
     if args.wav:
         grid = metrics.detect_latent_beats(z, cfg.rel_threshold,
                                            fps=p.fps * cfg.latent_len / p.frames)
         wav = clicktrack.render_clicks(grid, duration_s=p.frames / p.fps)
         clicktrack.write_wav(wav, args.wav)
+    pose.save_latent(z, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "generate")
     print(f"generated latent -> {args.out}")
     return 0

@@ -14,6 +14,7 @@ CLICK_FREQ_HZ = 1000.0
 CLICK_LEN_S = 0.030
 CLICK_DECAY_S = 0.006
 PEAK = 0.9
+MAX_SAMPLES = 2_147_483_629  # 16-bit mono: the RIFF size field holds 36 + 2n < 2^32
 
 
 @dataclass
@@ -25,8 +26,11 @@ class Waveform:
 def render_clicks(beats: BeatGrid, duration_s: float, sample_rate: int = 44100) -> Waveform:
     """Exponentially decaying 1 kHz sine bursts at each beat time,
     overlap-added and peak-normalized to 0.9."""
-    n = int(round(duration_s * sample_rate))
-    out = np.zeros(n)
+    n = duration_s * sample_rate
+    if not (math.isfinite(n) and 1 <= round(n) <= MAX_SAMPLES):
+        raise ConfigError(f"a click track of {duration_s} s at {sample_rate} Hz needs {n:.6g} "
+                          f"samples; a 16-bit mono WAV file holds 1 to {MAX_SAMPLES}")
+    out = np.zeros(int(round(n)))
     burst_n = int(round(CLICK_LEN_S * sample_rate))
     t = np.arange(burst_n) / sample_rate
     burst = np.exp(-t / CLICK_DECAY_S) * np.sin(2 * math.pi * CLICK_FREQ_HZ * t)
@@ -35,7 +39,7 @@ def render_clicks(beats: BeatGrid, duration_s: float, sample_rate: int = 44100) 
         if t0 > duration_s:
             raise ConfigError(f"beat at {t0:.3f}s lies beyond the {duration_s}s render window")
         s0 = int(round(t0 * sample_rate))
-        seg = min(burst_n, n - s0)
+        seg = min(burst_n, out.size - s0)
         out[s0:s0 + seg] += burst[:seg]
     peak = np.abs(out).max()
     if peak > 0:
@@ -55,15 +59,3 @@ def write_wav(w: Waveform, path) -> None:
     )
     with open(path, "wb") as f:
         f.write(hdr + data)
-
-
-def read_wav_header(path) -> dict:
-    """Parse back the fixed header fields (round-trip checks)."""
-    with open(path, "rb") as f:
-        raw = f.read(44)
-    fields = struct.unpack("<4sI4s4sIHHIIHH4sI", raw)
-    return {
-        "riff": fields[0], "wave": fields[2], "audio_format": fields[5],
-        "channels": fields[6], "sample_rate": fields[7],
-        "bits_per_sample": fields[10], "data_bytes": fields[12],
-    }

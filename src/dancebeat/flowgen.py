@@ -194,28 +194,14 @@ def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.n
     return v_uncond + scale * (v_cond - v_uncond)
 
 
-def euler_sample(params: VelocityFieldParams | None, rhythm, cond, latent_len: int,
-                 steps: int, cfg_scale: float, seed: int, velocity_fn=None,
-                 latent_dim: int | None = None) -> MusicLatent:
-    """Integrate dz/dt = v(z, t) from a standard-normal draw at t=0 to t=1
-    with `steps` fixed Euler steps under guidance scale `cfg_scale`;
-    deterministic for a fixed seed.
-
-    `velocity_fn(z, t, rhythm, cond) -> ndarray` overrides the model field
-    (used by solver-accuracy oracles); `latent_dim` is then required.
-    """
-    vf = velocity_fn or (lambda z, t, r, c: velocity(params, z, t, r, c).data)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((latent_len, latent_dim or params.latent_dim))
+def euler_sample(field, shape: tuple[int, int], steps: int, seed: int) -> MusicLatent:
+    """Integrate dz/dt = field(z, t) from a standard-normal draw of `shape`
+    at t=0 to t=1 with `steps` fixed Euler steps; deterministic for a fixed
+    seed."""
+    z = np.random.default_rng(seed).standard_normal(shape)
     dt = 1.0 / steps
-    unconditional = rhythm is None and cond is None
     for k in range(steps):
-        t_k = k / steps
-        if unconditional:
-            v = vf(z, t_k, None, None)
-        else:
-            v = cfg_velocity(vf(z, t_k, rhythm, cond), vf(z, t_k, None, None), cfg_scale)
-        z = z + dt * v
+        z = z + dt * field(z, k / steps)
         if not np.isfinite(z).all():
             raise NumericalError(f"non-finite latent after Euler step {k + 1} of {steps}")
     return MusicLatent(data=z)
@@ -241,16 +227,29 @@ class TrainedModel:
         return out
 
 
-def rhythm_condition_tensor(feats: ClipRhythmFeatures, baseline: np.ndarray | None,
-                            model: "TrainedModel") -> Tensor | None:
-    """Aligned rhythm conditioning for one clip, or None in 'none' mode."""
-    mode = model.config.rhythm_mode
-    if mode == "none":
+def rhythm_input(pose: PoseSequence, model: TrainedModel):
+    """What the model's rhythm mode conditions on for one clip: clip
+    features ('learned'), a (T, D) baseline array ('mean', 'binary'), or
+    None ('none')."""
+    mc = model.config
+    if mc.rhythm_mode == "learned":
+        return clip_features(pose, model.bank, mc.bins)
+    if mc.rhythm_mode == "mean":
+        return baseline_mean_rhythm(pose, mc.rhythm_dim)
+    if mc.rhythm_mode == "binary":
+        return baseline_binary_rhythm(pose, mc.rhythm_dim)
+    return None
+
+
+def rhythm_condition_tensor(inp: ClipRhythmFeatures | np.ndarray | None,
+                            model: TrainedModel) -> Tensor | None:
+    """Aligned rhythm conditioning from one clip's `rhythm_input`."""
+    if inp is None:
         return None
-    if mode == "learned":
-        r, _gate = rhythm_core_tensor(feats, model.rhythm_net)
+    if isinstance(inp, ClipRhythmFeatures):
+        r, _gate = rhythm_core_tensor(inp, model.rhythm_net)
     else:
-        r = Tensor(baseline)
+        r = Tensor(inp)
     if model.config.align_mode == "attn":
         return align_tensor(r, model.queries)
     return mean_pool_align(r, model.config.latent_len)
@@ -303,14 +302,6 @@ def _clip_global_norm(tensors: list[Tensor], max_norm: float) -> None:
                 t.grad *= scale
 
 
-def _baseline_rhythm(pose: PoseSequence, mode: str, dim: int) -> np.ndarray | None:
-    if mode == "mean":
-        return baseline_mean_rhythm(pose, dim)
-    if mode == "binary":
-        return baseline_binary_rhythm(pose, dim)
-    return None
-
-
 def parameter_count(cfg: RunConfig) -> int:
     """Number of float64 values in the tensors of init_model(cfg), worked
     out without allocating them."""
@@ -351,10 +342,7 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                 f"and {cfg.cond_dim}")
 
     model = init_model(cfg)
-    feats = [clip_features(pose, model.bank, cfg.bins) if cfg.rhythm_mode == "learned" else None
-             for pose, _, _ in dataset]
-    baselines = [_baseline_rhythm(pose, cfg.rhythm_mode, cfg.rhythm_dim)
-                 for pose, _, _ in dataset]
+    inputs = [rhythm_input(pose, model) for pose, _, _ in dataset]
 
     # a group the mode leaves out of the loss gets no gradient, so Adam leaves it as it is
     trainable = [t for _, t in model.all_tensors()]
@@ -377,7 +365,7 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                     if drop:
                         rcond, vcond = None, None
                     else:
-                        rcond = rhythm_condition_tensor(feats[i], baselines[i], model)
+                        rcond = rhythm_condition_tensor(inputs[i], model)
                         vcond = cond
                     loss = tz.mul(cfm_loss(model, z1.data, z0, t, rcond, vcond),
                                   1.0 / len(batch))
@@ -399,11 +387,13 @@ def generate(model: TrainedModel, pose: PoseSequence, cond: ConditioningFeatures
     """Sample a latent for one clip with `steps` Euler steps at guidance
     scale `cfg_scale`, conditioning on its rhythm unless `conditioned` is
     False (null-token generation)."""
-    mc = model.config
-    rhythm_cond = None
-    if conditioned and mc.rhythm_mode != "none":
-        f = clip_features(pose, model.bank, mc.bins) if mc.rhythm_mode == "learned" else None
-        base = _baseline_rhythm(pose, mc.rhythm_mode, mc.rhythm_dim)
-        rhythm_cond = Tensor(rhythm_condition_tensor(f, base, model).data)
-    vcond = cond if conditioned else None
-    return euler_sample(model.vf, rhythm_cond, vcond, mc.latent_len, steps, cfg_scale, seed)
+    r = rhythm_condition_tensor(rhythm_input(pose, model), model) if conditioned else None
+    c = cond if conditioned else None
+
+    def field(z, t):
+        if r is None and c is None:
+            return velocity(model.vf, z, t).data
+        return cfg_velocity(velocity(model.vf, z, t, r, c).data,
+                            velocity(model.vf, z, t).data, cfg_scale)
+
+    return euler_sample(field, (model.config.latent_len, model.vf.latent_dim), steps, seed)

@@ -113,16 +113,6 @@ class ClipRhythmFeatures:
 
 
 @dataclass
-class RhythmIntermediates:
-    """Inspection bundle from one forward pass."""
-
-    wavelet: np.ndarray        # (T-1, J, S)
-    joint_weights: np.ndarray  # (T-1, J)
-    histograms: np.ndarray     # (T-1, K, S)
-    gate: np.ndarray           # (T-1,)
-
-
-@dataclass
 class RhythmEmbedding:
     """T x D rhythm features; the final row repeats the penultimate one."""
 
@@ -206,43 +196,24 @@ def fusion_features(feats: ClipRhythmFeatures, w: Tensor, bins: int) -> Tensor:
     return tz.tsum(tz.mul(tz.reshape(w, (Tm1, J, 1)), columns), axis=1)
 
 
-def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams,
-                       want_intermediates: bool = False):
-    """Differentiable forward pass producing the (T, D) rhythm embedding.
-
-    Returns (embedding, gate) or (embedding, gate, intermediates).
-    """
+def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple[Tensor, Tensor]:
+    """Differentiable forward pass: the (T, D) rhythm embedding and the
+    (T-1, 1) gate."""
     Tm1 = feats.magnitude.shape[0]
-    S, K = params.scales, params.bins
     w = joint_weight_tensor(feats, params)
-    feat = fusion_features(feats, w, K)
+    feat = fusion_features(feats, w, params.bins)
     core = tz.linear(feat, params.fuse_w, params.fuse_b)  # (T-1, D)
     gate = tz.sigmoid(tz.linear(tz.relu(tz.linear(core, params.a1, params.ab1)),
                                 params.a2, params.ab2))  # (T-1, 1)
     gated = tz.mul(gate, core)
     full = tz.concat([gated, gated[Tm1 - 1:Tm1, :]], axis=0)  # repeat last frame -> (T, D)
-    if not want_intermediates:
-        return full, gate
-    inter = RhythmIntermediates(
-        wavelet=feats.wavelet, joint_weights=w.data.copy(),
-        histograms=feat.data[:, :K * S].reshape(Tm1, K, S).copy(),
-        gate=gate.data[:, 0].copy(),
-    )
-    return full, gate, inter
+    return full, gate
 
 
 def extract_rhythm(p: PoseSequence, bank: WaveletBank, params: RhythmParams) -> RhythmEmbedding:
     feats = clip_features(p, bank, params.bins)
     full, _gate = rhythm_core_tensor(feats, params)
     return RhythmEmbedding(data=full.data.copy(), fps=p.fps)
-
-
-def extract_rhythm_with_intermediates(
-    p: PoseSequence, bank: WaveletBank, params: RhythmParams
-) -> tuple[RhythmEmbedding, RhythmIntermediates]:
-    feats = clip_features(p, bank, params.bins)
-    full, _gate, inter = rhythm_core_tensor(feats, params, want_intermediates=True)
-    return RhythmEmbedding(data=full.data.copy(), fps=p.fps), inter
 
 
 def scale_energy(p: PoseSequence, bank: WaveletBank) -> np.ndarray:

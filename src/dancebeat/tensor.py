@@ -69,9 +69,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return

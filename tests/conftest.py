@@ -1,11 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from dancebeat import flowgen
 from dancebeat import tensor as tz
 from dancebeat.align import segment_spans
 from dancebeat.errors import ConfigError, ShapeError
+from dancebeat.pose import MusicLatent
 from dancebeat.rhythm import phase_bins
 from dancebeat.tensor import Tensor, _emit, reflect_indices
 
@@ -146,6 +149,39 @@ def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
         scores = tz.mul(tz.matmul(q[:, sl], tz.transpose(k[:, sl])), 1.0 / math.sqrt(dh))
         outs.append(tz.matmul(tz.softmax(scores, axis=1), v[:, sl]))
     return tz.linear(tz.concat(outs, axis=1), blk.wo, blk.bo)
+
+
+# ---------------------------------------------------------------------------
+# the sampler with guidance built in, and the WAV header reader (oracles for
+# flowgen.generate and the WAV writer)
+
+
+def euler_sample(params, rhythm, cond, latent_len: int, steps: int, cfg_scale: float,
+                 seed: int, velocity_fn=None, latent_dim: int | None = None) -> MusicLatent:
+    """flowgen.euler_sample over the model's `velocity` field, guided at
+    `cfg_scale` unless both `rhythm` and `cond` are None.
+    `velocity_fn(z, t, rhythm, cond) -> ndarray` replaces the model field;
+    `latent_dim` is then required."""
+    vf = velocity_fn or (lambda z, t, r, c: flowgen.velocity(params, z, t, r, c).data)
+    if rhythm is None and cond is None:
+        field = lambda z, t: vf(z, t, None, None)
+    else:
+        field = lambda z, t: flowgen.cfg_velocity(vf(z, t, rhythm, cond), vf(z, t, None, None),
+                                                  cfg_scale)
+    shape = (latent_len, latent_dim or params.latent_dim)
+    return flowgen.euler_sample(field, shape, steps, seed)
+
+
+def read_wav_header(path) -> dict:
+    """The fixed 44-byte header's fields."""
+    with open(path, "rb") as f:
+        raw = f.read(44)
+    fields = struct.unpack("<4sI4s4sIHHIIHH4sI", raw)
+    return {
+        "riff": fields[0], "wave": fields[2], "audio_format": fields[5],
+        "channels": fields[6], "sample_rate": fields[7],
+        "bits_per_sample": fields[10], "data_bytes": fields[12],
+    }
 
 
 @pytest.fixture

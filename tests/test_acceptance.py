@@ -18,11 +18,11 @@ from dancebeat import tensor as tz
 from dancebeat.align import ContextQueries
 from dancebeat.cli import main as cli_main
 from dancebeat.config import RunConfig
-from dancebeat.flowgen import euler_sample, init_model
+from dancebeat.flowgen import init_model
 from dancebeat.pose import BeatGrid
 from dancebeat.tensor import Tape, Tensor
 
-from conftest import optimal_match, phase_histograms
+from conftest import euler_sample, optimal_match, phase_histograms
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

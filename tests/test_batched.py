@@ -21,7 +21,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 def value_and_grads(build, leaves, c):
     """build()'s value and the gradients of sum(build() * c) at `leaves`."""
     for leaf in leaves:
-        leaf.zero_grad()
+        leaf.grad = None
     with Tape():
         out = build()
         backward(tz.tsum(tz.mul(out, c)))
@@ -177,7 +177,7 @@ def clip_step_nodes(latent_len: int) -> int:
     z1 = np.random.default_rng(0).standard_normal((latent_len, cfg.latent_dim))
     cond = pose.synth_conditioning(cfg.cond_len, cfg.cond_dim)
     with Tape() as tape:
-        rcond = flowgen.rhythm_condition_tensor(feats, None, model)
+        rcond = flowgen.rhythm_condition_tensor(feats, model)
         tz.mul(flowgen.cfm_loss(model, z1, 0.5 * z1, 0.3, rcond, cond), 0.25)
         return len(tape)
 

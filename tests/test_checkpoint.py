@@ -6,7 +6,7 @@ import pytest
 from dancebeat.checkpoint import MAGIC, load_model, save_model
 from dancebeat.config import RunConfig, load_config
 from dancebeat.errors import ConfigError, ParseError
-from dancebeat.flowgen import euler_sample, init_model, parameter_count
+from dancebeat.flowgen import euler_sample, init_model, parameter_count, velocity
 
 
 def tiny_tc(**kw):
@@ -34,8 +34,8 @@ class TestCheckpointRoundTrip:
         model = init_model(tiny_tc())
         save_model(model, tmp_path / "ck")
         loaded = load_model(tmp_path / "ck")
-        a = euler_sample(model.vf, None, None, 5, 4, 1.0, 9, latent_dim=3)
-        b = euler_sample(loaded.vf, None, None, 5, 4, 1.0, 9, latent_dim=3)
+        a = euler_sample(lambda z, t: velocity(model.vf, z, t).data, (5, 3), 4, 9)
+        b = euler_sample(lambda z, t: velocity(loaded.vf, z, t).data, (5, 3), 4, 9)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):

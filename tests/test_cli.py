@@ -3,9 +3,10 @@ import pytest
 
 from dancebeat import checkpoint, flowgen, metrics, pose, rhythm
 from dancebeat.cli import main
-from dancebeat.clicktrack import read_wav_header
 from dancebeat.config import RunConfig, load_config
 from dancebeat.tensor import Tensor
+
+from conftest import read_wav_header
 
 TINY_CFG = """\
 scales = 2
@@ -238,6 +239,30 @@ class TestMalformedInputs:
                           "--data", str(data), "--generated", str(data))
         self.assert_one_error(rc, err)
         assert str(beats) in err[0] and "fps must be finite and positive" in err[0], err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_synth_needs_a_clip(self, tmp_path, cfg_file, capsys, n):
+        out = tmp_path / "empty"
+        rc, err = run_err(capsys, "--config", cfg_file, "synth", "--out", str(out),
+                          "--n-clips", n)
+        self.assert_one_error(rc, err)
+        assert "--n-clips" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("fps", ["1e-20", "1e-308", "1e9"])
+    def test_wav_window_a_wav_cannot_hold(self, tmp_path, cfg_file, data, capsys, fps):
+        ckpt, wav = tmp_path / "model", tmp_path / "g.wav"
+        assert run("--config", cfg_file, "train", "--data", str(data), "--out", str(ckpt)) == 0
+        p = data / "clip_000.pose"
+        lines = p.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:3] + [fps])
+        p.write_text("\n".join(lines) + "\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "generate", "--ckpt", str(ckpt),
+                          "--pose", str(p), "--out", str(tmp_path / "g.latent"),
+                          "--wav", str(wav))
+        self.assert_one_error(rc, err)
+        # 60 frames at these rates last 6e21 s, overflow to inf, or round to 0 samples
+        assert f"click track of {60 / float(fps)} s" in err[0], err
+        assert not wav.exists() and not (tmp_path / "g.latent").exists()
 
     def test_format_2_checkpoint(self, tmp_path, cfg_file, data, capsys):
         ckpt = tmp_path / "model"

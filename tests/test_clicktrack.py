@@ -1,12 +1,15 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from dancebeat import clicktrack
-from dancebeat.clicktrack import Waveform, read_wav_header, render_clicks, write_wav
+from dancebeat.clicktrack import Waveform, render_clicks, write_wav
 from dancebeat.errors import ConfigError
 from dancebeat.pose import BeatGrid
+
+from conftest import read_wav_header
 
 
 def grid(frames, length=150, fps=30.0):
@@ -40,6 +43,17 @@ class TestRenderClicks:
     def test_beat_beyond_duration(self):
         with pytest.raises(ConfigError):
             render_clicks(grid([60], fps=30.0), duration_s=1.0)
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 1e300, 0.0, 1e-9, -1.0])
+    def test_window_a_wav_cannot_hold(self, duration_s):
+        with pytest.raises(ConfigError, match="click track of"):
+            render_clicks(grid([]), duration_s=duration_s)
+
+    def test_sample_limit_is_the_riff_size_limit(self):
+        # the RIFF chunk size 36 + 2n must fit in 32 bits; rendering at the
+        # limit would allocate 16 GiB, so only the bound itself is checked
+        n = clicktrack.MAX_SAMPLES
+        assert 36 + 2 * n < 2 ** 32 <= 36 + 2 * (n + 1)
 
     def test_overlap_add_no_clipping(self):
         w = render_clicks(grid([10, 11, 12]), duration_s=1.0)

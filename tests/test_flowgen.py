@@ -15,6 +15,7 @@ from dancebeat.pose import (ConditioningFeatures, MusicLatent, synth_conditionin
 from dancebeat.rhythm import clip_features
 from dancebeat.tensor import Tape, Tensor, backward
 
+import conftest
 from conftest import relerr
 
 
@@ -133,15 +134,12 @@ class TestCfgVelocity:
 class TestEulerSample:
     def test_constant_field_exact(self):
         c = np.array([[0.5, -1.0]])
-        out = euler_sample(None, None, None, 1, 7, 4.0, 3,
-                           velocity_fn=lambda z, t, r, co: np.broadcast_to(c, z.shape),
-                           latent_dim=2)
+        out = euler_sample(lambda z, t: np.broadcast_to(c, z.shape), (1, 2), 7, 3)
         z0 = np.random.default_rng(3).standard_normal((1, 2))
         assert relerr(out.data, z0 + c) < 1e-12
 
     def test_decay_field_vs_closed_form(self):
-        out = euler_sample(None, None, None, 3, 32, 1.0, 5,
-                           velocity_fn=lambda z, t, r, c: -z, latent_dim=2)
+        out = euler_sample(lambda z, t: -z, (3, 2), 32, 5)
         z0 = np.random.default_rng(5).standard_normal((3, 2))
         expect = z0 * (1 - 1 / 32) ** 32
         assert relerr(out.data, expect) < 1e-12
@@ -157,27 +155,51 @@ class TestEulerSample:
 
     def test_seeded_determinism(self):
         m = tiny_model()
-        a = euler_sample(m.vf, None, None, 4, 4, 4.0, 11)
-        b = euler_sample(m.vf, None, None, 4, 4, 4.0, 11)
+        field = lambda z, t: velocity(m.vf, z, t).data
+        a = euler_sample(field, (4, 2), 4, 11)
+        b = euler_sample(field, (4, 2), 4, 11)
         assert np.array_equal(a.data, b.data)
 
     def test_sampling_does_not_mutate_params(self, rng):
         m = tiny_model()
         before = {n: t.data.copy() for n, t in m.vf.tensors()}
-        euler_sample(m.vf, rng.standard_normal((4, 6)), None, 4, 3, 4.0, 0)
+        r = rng.standard_normal((4, 6))
+        euler_sample(lambda z, t: cfg_velocity(velocity(m.vf, z, t, r).data,
+                                               velocity(m.vf, z, t).data, 4.0), (4, 2), 3, 0)
         for n, t in m.vf.tensors():
             assert np.array_equal(before[n], t.data)
 
     def test_first_non_finite_step_is_named(self):
         calls = []
 
-        def field(z, t, r, c):
+        def field(z, t):
             calls.append(t)
             return np.full(z.shape, np.inf if len(calls) == 3 else 1.0)
 
         with pytest.raises(NumericalError, match="Euler step 3 of 8"):
-            euler_sample(None, None, None, 2, 8, 1.0, 0, velocity_fn=field, latent_dim=2)
+            euler_sample(field, (2, 2), 8, 0)
         assert len(calls) == 3
+
+
+class TestGenerate:
+    """generate equals the sampler with guidance built in (conftest.euler_sample)."""
+
+    @pytest.mark.parametrize("with_cond,conditioned", [(True, True), (False, True),
+                                                       (True, False)])
+    def test_matches_guided_sampler_oracle(self, with_cond, conditioned):
+        tc = tiny_tc(epochs=1)
+        dataset = tiny_dataset(2)
+        model = train(dataset, tc)
+        pose, _, c = dataset[0]
+        cond = c if with_cond else None
+        got = flowgen.generate(model, pose, cond, 5, 3.0, 17, conditioned=conditioned)
+        if conditioned:
+            r = flowgen.rhythm_condition_tensor(flowgen.rhythm_input(pose, model), model)
+            want = conftest.euler_sample(model.vf, Tensor(r.data), cond, tc.latent_len,
+                                         5, 3.0, 17)
+        else:
+            want = conftest.euler_sample(model.vf, None, None, tc.latent_len, 5, 3.0, 17)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestTrain:
@@ -220,7 +242,7 @@ class TestTrain:
         z1 = dataset[0][1].data
         z0 = rng.standard_normal(z1.shape)
         with Tape():
-            rcond = flowgen.rhythm_condition_tensor(feats, None, model)
+            rcond = flowgen.rhythm_condition_tensor(feats, model)
             loss = cfm_loss(model, z1, z0, 0.5, rcond, dataset[0][2])
             backward(loss)
         for group in (model.rhythm_net.tensors(), model.queries.tensors(), model.vf.tensors()):
@@ -235,7 +257,7 @@ class TestTrain:
         feats = clip_features(pose, model.bank, model.config.bins)
         z0 = np.random.default_rng(0).standard_normal(z1.data.shape)
         with Tape():
-            rcond = flowgen.rhythm_condition_tensor(feats, None, model)
+            rcond = flowgen.rhythm_condition_tensor(feats, model)
             backward(cfm_loss(model, z1.data, z0, 0.5, rcond, cond))
             backward(cfm_loss(model, z1.data, z0, 0.5, None, None))
         peak = {n: 0.0 if t.grad is None else float(np.abs(t.grad).max())
