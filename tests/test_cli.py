@@ -1,7 +1,11 @@
+import ctypes
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dancebeat import checkpoint, flowgen, metrics, pose, rhythm
+from dancebeat import checkpoint, cli, flowgen, metrics, pose, rhythm
 from dancebeat.cli import main
 from dancebeat.config import RunConfig, load_config
 from dancebeat.tensor import Tensor
@@ -155,6 +159,13 @@ class TestTrainGenerateEvaluate:
         assert run("--config", cfg_file, "evaluate", "--data", str(data)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_train_reports_wall_and_cpu_time(self, tmp_path, cfg_file, trained, capsys):
+        data, _ = trained
+        rc, err = run_err(capsys, "--config", cfg_file, "train", "--data", str(data),
+                          "--out", str(tmp_path / "again"))
+        assert rc == 0 and len(err) == 1, err
+        assert re.fullmatch(r"wall time \d+\.\ds, cpu \d+\.\ds", err[0]), err
+
 
 class TestTopLevel:
     def test_print_config(self, capsys):
@@ -185,6 +196,44 @@ class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
         assert "usage:" in capsys.readouterr().out
+
+
+def _openblas_fn(name, argtypes, restype):
+    """A function of numpy's bundled OpenBLAS; skips where numpy bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS")
+    fn = getattr(ctypes.CDLL(str(libs[0])), name)
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+class TestBlasThreads:
+    def test_commands_run_openblas_on_one_thread(self, tmp_path, cfg_file):
+        get_threads = _openblas_fn("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+        set_threads = _openblas_fn("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+        set_threads(2)  # numpy's default on a two-CPU machine, whatever ran before
+        cli._blas_one_thread.cache_clear()
+        assert run("--config", cfg_file, "synth", "--out", str(tmp_path / "d"),
+                   "--n-clips", "1") == 0
+        assert get_threads() == 1
+
+    @pytest.mark.parametrize("files", [[], ["libscipy_openblas64_-0.so"]])
+    def test_without_the_library_commands_still_run(self, tmp_path, cfg_file, capsys,
+                                                    monkeypatch, files):
+        libs = tmp_path / "libs"
+        libs.mkdir()
+        for name in files:
+            (libs / name).write_bytes(b"not a shared library")
+        monkeypatch.setattr(cli, "_NUMPY_LIBS", libs)
+        cli._blas_one_thread.cache_clear()
+        try:
+            cli._blas_one_thread()
+            rc, err = run_err(capsys, "--config", cfg_file, "synth",
+                              "--out", str(tmp_path / "d"), "--n-clips", "1")
+        finally:
+            cli._blas_one_thread.cache_clear()  # later commands pin the real library
+        assert rc == 0 and err == [], err
 
 
 def run_err(capsys, *argv):
