@@ -299,7 +299,7 @@ def _clip_global_norm(tensors: list[Tensor], max_norm: float) -> None:
         scale = max_norm / total
         for t in tensors:
             if t.grad is not None:
-                t.grad *= scale
+                t.grad = t.grad * scale
 
 
 def parameter_count(cfg: RunConfig) -> int:

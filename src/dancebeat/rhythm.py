@@ -109,7 +109,10 @@ class ClipRhythmFeatures:
     mx: np.ndarray          # (T-1, J, S) filtered x displacement
     my: np.ndarray          # (T-1, J, S) filtered y displacement
     mag_s: np.ndarray       # (T-1, J, S) per-scale magnitude sqrt(mx^2 + my^2)
-    bin_idx: np.ndarray     # (T-1, J, S) phase bin per sample
+    # (T-1, J, K*S + S): the phase histogram columns ((k, s) row-major: the
+    # joint's scale-s magnitude where its phase falls in bin k, else 0), then
+    # the S wavelet columns
+    columns: np.ndarray
 
 
 @dataclass
@@ -168,8 +171,12 @@ def clip_features(p: PoseSequence, bank: WaveletBank, bins: int) -> ClipRhythmFe
     m = motion_diff(p)
     w = wavelet_features(m, bank)
     mx, my, mag_s = scale_components(m, bank)
+    Tm1, J, S = w.shape
+    columns = np.zeros((Tm1, J, (bins + 1) * S))
+    np.put_along_axis(columns, phase_bins(mx, my, bins) * S + np.arange(S), mag_s, axis=2)
+    columns[:, :, bins * S:] = w
     return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=w, mx=mx, my=my, mag_s=mag_s,
-                              bin_idx=phase_bins(mx, my, bins))
+                              columns=columns)
 
 
 def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tensor:
@@ -184,16 +191,12 @@ def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tens
     return tz.softmax(tz.reshape(logits, (Tm1, J)), axis=1)
 
 
-def fusion_features(feats: ClipRhythmFeatures, w: Tensor, bins: int) -> Tensor:
-    """The (T-1, K*S + S) fusion input: joint-weighted sums of the phase
-    histogram columns ((k, s) row-major: a joint's scale-s magnitude where
-    its phase falls in bin k) and then of the S wavelet columns. Bin
-    membership is a constant mask; gradient flows through `w` only."""
-    Tm1, J, S = feats.wavelet.shape
-    columns = np.zeros((Tm1, J, (bins + 1) * S))
-    np.put_along_axis(columns, feats.bin_idx * S + np.arange(S), feats.mag_s, axis=2)
-    columns[:, :, bins * S:] = feats.wavelet
-    return tz.tsum(tz.mul(tz.reshape(w, (Tm1, J, 1)), columns), axis=1)
+def fusion_features(feats: ClipRhythmFeatures, w: Tensor) -> Tensor:
+    """The (T-1, K*S + S) fusion input: the joint-weighted sum of the
+    clip's fusion columns, one (1, J) @ (J, K*S + S) product per frame.
+    The columns are constants; gradient flows through `w` only."""
+    Tm1, J, C = feats.columns.shape
+    return tz.reshape(tz.matmul(tz.reshape(w, (Tm1, 1, J)), feats.columns), (Tm1, C))
 
 
 def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple[Tensor, Tensor]:
@@ -201,7 +204,7 @@ def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple
     (T-1, 1) gate."""
     Tm1 = feats.magnitude.shape[0]
     w = joint_weight_tensor(feats, params)
-    feat = fusion_features(feats, w, params.bins)
+    feat = fusion_features(feats, w)
     core = tz.linear(feat, params.fuse_w, params.fuse_b)  # (T-1, D)
     gate = tz.sigmoid(tz.linear(tz.relu(tz.linear(core, params.a1, params.ab1)),
                                 params.a2, params.ab2))  # (T-1, 1)

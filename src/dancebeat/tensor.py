@@ -3,7 +3,8 @@
 Everything learnable in the pipeline runs on this module. Arrays are
 row-major numpy float64 throughout; a Tape records each differentiable
 operation so that unwinding it in reverse propagates adjoints back to
-every leaf with requires_grad set.
+every leaf with requires_grad set. Gradient arrays are never written in
+place, so one array may be the gradient of several tensors at once.
 """
 from __future__ import annotations
 
@@ -73,10 +74,7 @@ class Tensor:
         if not self.requires_grad:
             return
         g = _unbroadcast(g, self.data.shape)
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -131,7 +129,8 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         a._accum(g)
-        b._accum(-g)
+        if b.requires_grad:
+            b._accum(-g)
 
     return _emit(a.data - b.data, (a, b), bwd)
 
@@ -140,8 +139,10 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd(g):
-        a._accum(g * b.data)
-        b._accum(g * a.data)
+        if a.requires_grad:
+            a._accum(g * b.data)
+        if b.requires_grad:
+            b._accum(g * a.data)
 
     return _emit(a.data * b.data, (a, b), bwd)
 
@@ -178,17 +179,19 @@ def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast as a batch."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        if a.ndim < 2 or b.ndim < 2:
             raise ValueError
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def bwd(g):
-        a._accum(g @ b.data.swapaxes(-1, -2))
-        b._accum(a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            a._accum(g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            b._accum(a.data.swapaxes(-1, -2) @ g)
 
-    return _emit(np.matmul(a.data, b.data), (a, b), bwd)
+    return _emit(out, (a, b), bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -244,7 +247,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, shape))
+        a._accum(np.broadcast_to(g, shape).copy())
 
     return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -265,9 +268,9 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax; rows sum to 1 along `axis`."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -279,10 +282,10 @@ def softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
     """Normalize along the last axis to zero mean / unit variance."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    n = a.data.shape[-1]
+    xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
 
     def bwd(g):
         gm = g.mean(axis=-1, keepdims=True)

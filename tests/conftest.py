@@ -66,7 +66,8 @@ def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
 
 # ---------------------------------------------------------------------------
 # the unbatched forms of the batched layers: one op per column, bin, segment
-# or head (oracles for tests/test_batched.py)
+# or head, and the multi-pass forms of the one-pass kernels (oracles for
+# tests/test_batched.py)
 
 
 def conv1d_same(signal, kernel) -> Tensor:
@@ -107,14 +108,45 @@ def conv_cols_loop(signal_2d: np.ndarray, bank) -> np.ndarray:
 def fusion_features_loop(feats, w: Tensor, bins: int) -> Tensor:
     """One weighted-sum column per (bin, scale), then one per wavelet scale."""
     S = feats.wavelet.shape[2]
+    idx = phase_bins(feats.mx, feats.my, bins)
     cols = []
     for k in range(bins):
         for s in range(S):
-            mass = feats.mag_s[:, :, s] * (feats.bin_idx[:, :, s] == k)
+            mass = feats.mag_s[:, :, s] * (idx[:, :, s] == k)
             cols.append(tz.tsum(tz.mul(w, mass), axis=1, keepdims=True))
     for s in range(S):
         cols.append(tz.tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
     return tz.concat(cols, axis=1)
+
+
+def softmax_oracle(a, axis: int = -1) -> Tensor:
+    """tensor.softmax with out-of-place temporaries."""
+    a = tz.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        a._accum(y * (g - dot))
+
+    return _emit(y, (a,), bwd)
+
+
+def layer_norm_oracle(a, eps: float = 1e-5) -> Tensor:
+    """tensor.layer_norm with numpy's own mean and var."""
+    a = tz.as_tensor(a)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (a.data - mu) * inv
+
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        a._accum((g - gm - xhat * gx) * inv)
+
+    return _emit(xhat, (a,), bwd)
 
 
 def attention_pool_loop(seg: Tensor, q: Tensor) -> Tensor:

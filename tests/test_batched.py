@@ -1,5 +1,6 @@
 """The batched alignment, histogram, attention and wavelet paths agree with
-their one-op-per-segment/bin/head/column forms in tests/conftest.py."""
+their one-op-per-segment/bin/head/column forms in tests/conftest.py, and the
+one-pass softmax and layer_norm with their multi-pass forms there."""
 import re
 
 import numpy as np
@@ -13,7 +14,8 @@ from dancebeat.errors import ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
 from conftest import (align_loop, attention_pool_loop, conv_cols_loop, finite_difference,
-                      fusion_features_loop, mean_pool_loop, relerr, self_attention_loop)
+                      fusion_features_loop, layer_norm_oracle, mean_pool_loop, relerr,
+                      self_attention_loop, softmax_oracle)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -134,10 +136,50 @@ class TestBatchedMatmul:
         assert all(np.array_equal(out[i], a[i] @ b[i]) for i in range(3))
 
     @pytest.mark.parametrize("sa, sb", [((2, 3, 4), (2, 3, 5)), ((2, 3, 4), (3, 4, 5)),
-                                        ((3, 4), (4,))])
+                                        ((3, 4), (4,)), ((4,), (4, 3)),
+                                        ((2, 1, 3, 4), (3, 2, 4, 5))])
     def test_incompatible_shapes(self, sa, sb):
         with pytest.raises(ShapeError, match=re.escape(f"{sa} and {sb}")):
             tz.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A random array, one whose rows along the last axis are constant, or
+    one whose values share a large offset; and a weight of its shape."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(shape)
+    kind = draw(st.sampled_from(["random", "constant rows", "offset"]))
+    if kind == "constant rows":
+        x = np.repeat(x[..., :1], shape[-1], axis=-1)
+    elif kind == "offset":
+        x = x + draw(st.sampled_from([1e6, -1e9]))
+    return x, rng.standard_normal(shape)
+
+
+class TestOnePassKernels:
+    """Forward values and input gradients are bit-identical to the oracles."""
+
+    @staticmethod
+    def assert_identical(kernel, oracle, x, c):
+        leaf = Tensor(x, requires_grad=True)
+        got, (got_g,) = value_and_grads(lambda: kernel(leaf), [leaf], c)
+        want, (want_g,) = value_and_grads(lambda: oracle(leaf), [leaf], c)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_g, want_g)
+
+    @given(kernel_inputs())
+    @PROPERTY
+    def test_layer_norm_matches_mean_var_oracle(self, xc):
+        self.assert_identical(tz.layer_norm, layer_norm_oracle, *xc)
+
+    @given(kernel_inputs(), st.integers(0, 2))
+    @PROPERTY
+    def test_softmax_matches_out_of_place_oracle(self, xc, axis):
+        axis = min(axis, xc[0].ndim - 1)
+        self.assert_identical(lambda t: tz.softmax(t, axis=axis),
+                              lambda t: softmax_oracle(t, axis=axis), *xc)
 
 
 @st.composite
@@ -163,7 +205,7 @@ class TestRhythmColumns:
         rng = np.random.default_rng(p.frames)
         w = Tensor(rng.dirichlet(np.ones(feats.magnitude.shape[1]), feats.magnitude.shape[0]),
                    requires_grad=True)
-        assert_same(lambda: rhythm.fusion_features(feats, w, bins),
+        assert_same(lambda: rhythm.fusion_features(feats, w),
                     lambda: fusion_features_loop(feats, w, bins),
                     [w], rng.standard_normal((feats.magnitude.shape[0], (bins + 1) * scales)))
 

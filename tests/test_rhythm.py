@@ -128,7 +128,7 @@ class TestJointWeights:
         wav = np.array([[[0.1], [0.2]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=None,
-            bin_idx=None)
+            columns=None)
         w = rhythm.joint_weight_tensor(feats, params).data
         # logits: relu(0.5 + 2*0.1) = 0.7 ; relu(0.25 + 2*0.2) = 0.65
         expect = np.exp([0.7, 0.65]) / np.exp([0.7, 0.65]).sum()
@@ -217,10 +217,11 @@ class TestFuseAndExtract:
         mag = np.array([[1.0], [2.0]])
         wav = np.array([[[0.5]], [[0.25]]])
         mag_s = np.array([[[1.0]], [[2.0]]])
-        bin_idx = np.array([[[0]], [[1]]])
+        # (bin 0, bin 1, wavelet) columns: frame 0 falls in bin 0, frame 1 in bin 1
+        columns = np.array([[[1.0, 0.0, 0.5]], [[0.0, 2.0, 0.25]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=mag_s,
-            bin_idx=bin_idx)
+            columns=columns)
         out, gate = rhythm.rhythm_core_tensor(feats, params)
         # frame 0: h = [1, 0], ww = 0.5 -> core = [1+2*0.5, 0] = [2, 0]
         # frame 1: h = [0, 2], ww = 0.25 -> core = [0.5, 2]

@@ -157,6 +157,32 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * g1)
 
 
+class TestGradientSharing:
+    def test_clipping_a_shared_gradient_scales_it_once(self):
+        from dancebeat.flowgen import _clip_global_norm
+
+        # add's backward may hand p and q one array: an in-place scale
+        # would hit it twice
+        p = Tensor(np.ones(3), requires_grad=True)
+        q = Tensor(np.zeros(3), requires_grad=True)
+        with Tape():
+            backward(tz.tsum(tz.mul(tz.add(p, q), 4.0)))
+        _clip_global_norm([p, q], 1.0)
+        expect = np.full(3, 4 / np.sqrt(96))
+        assert relerr(p.grad, expect) < 1e-15
+        assert relerr(q.grad, expect) < 1e-15
+
+    def test_constant_operands_get_no_gradient(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 4)))
+        m = Tensor(rng.standard_normal((4, 2)))
+        left = Tensor(rng.standard_normal((2, 3)))
+        with Tape():
+            backward(tz.tsum(tz.matmul(left, tz.matmul(tz.mul(c, x), m))))
+        assert x.grad is not None
+        assert c.grad is None and m.grad is None and left.grad is None
+
+
 class TestMiscOps:
     def test_elementwise_grads(self, rng):
         x = Tensor(rng.standard_normal((3, 4)) + 2.0, requires_grad=True)
