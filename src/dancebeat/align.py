@@ -63,15 +63,10 @@ def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(inside, slots, total), inside
 
 
-def _gather(r: Tensor, slots: np.ndarray) -> Tensor:
-    """(count, n, D) rows of the (T, D) `r` by slot; slot T reads zeros."""
-    return tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]
-
-
 def _pool(r: Tensor, queries: Tensor, slots: np.ndarray, inside: np.ndarray) -> Tensor:
     """Row i: the frames of segment i weighted by the softmax of their scaled
     dot products with query i, the slots outside the segment masked to -inf."""
-    rows = _gather(r, slots)
+    rows = tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]  # slot T reads zeros
     count, n, dim = rows.shape
     scores = tz.tsum(tz.mul(rows, tz.reshape(queries, (count, 1, dim))), axis=2)
     scores = tz.add(tz.mul(scores, 1.0 / math.sqrt(dim)), np.where(inside, 0.0, -np.inf))
@@ -99,10 +94,10 @@ def align_tensor(r: Tensor, queries: ContextQueries) -> Tensor:
 
 
 def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
-    """Plain segment-mean downsampling (alignment-module ablation)."""
-    slots, inside = segment_slots(r.shape[0], latent_len)
-    weights = inside / inside.sum(axis=1, keepdims=True)
-    return tz.tsum(tz.mul(_gather(r, slots), weights[:, :, None]), axis=1)
+    """Plain segment-mean downsampling (alignment-module ablation): zero
+    queries weigh each frame of a segment exactly 1/n."""
+    T, D = r.shape
+    return _pool(r, Tensor(np.zeros((latent_len, D))), *segment_slots(T, latent_len))
 
 
 def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> RhythmEmbedding:

@@ -9,8 +9,9 @@ Manifest lines, in this order:
 Config values are parsed by the config file's typed parser, never
 evaluated. Loading rebuilds the model, wavelet bank included, from the
 config alone, after checking the blob's length and digest; every tensor
-line must then match the rebuilt model. The blob holds each tensor's
-values contiguously in manifest order, so a round trip is bit-exact.
+line must then match the rebuilt model. The blob is the model's one
+parameter vector, `TrainedModel.flat`: each tensor's values contiguously in
+manifest order, so a round trip is bit-exact.
 """
 from __future__ import annotations
 
@@ -44,8 +45,7 @@ def _tensor_lines(model: TrainedModel) -> list[str]:
 
 def save_model(model: TrainedModel, path) -> None:
     path = Path(path)
-    blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                    for _, t in model.all_tensors())
+    blob = model.flat.astype("<f8", copy=False).tobytes()
     lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
     lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
     lines += _tensor_lines(model)
@@ -94,9 +94,5 @@ def load_model(path) -> TrainedModel:
         if w != g:
             show = lambda s: "end of manifest" if s is None else repr(s)
             raise ParseError(f"expected {show(w)}, found {show(g)}", ln, manifest)
-    off = 0
-    for _, t in model.all_tensors():
-        t.data = np.frombuffer(blob, dtype="<f8", count=t.data.size,
-                               offset=off).reshape(t.data.shape).copy()
-        off += 8 * t.data.size
+    model.flat[...] = np.frombuffer(blob, dtype="<f8")
     return model

@@ -318,7 +318,7 @@ def main(argv=None) -> int:
             ap.print_help()
             return 2
         return _HANDLERS[args.command](cfg, args)
-    except (DanceBeatError, OSError) as e:
+    except (DanceBeatError, OSError, MemoryError) as e:  # a valid config may not fit
         print(f"error: {e}", file=sys.stderr)
         return 1
 

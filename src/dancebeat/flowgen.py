@@ -9,7 +9,7 @@ the rhythm extractor, and the alignment queries with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -213,12 +213,23 @@ def euler_sample(field, shape: tuple[int, int], steps: int, seed: int) -> MusicL
 
 @dataclass
 class TrainedModel:
+    """Every tensor's `data` is a view into `flat`, the one parameter vector,
+    in `all_tensors` order: write through them, never rebind a `data`."""
+
     vf: VelocityFieldParams
     rhythm_net: RhythmParams
     queries: ContextQueries
     bank: WaveletBank
     config: RunConfig
     loss_history: list[float]
+    flat: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        tensors = [t for _, t in self.all_tensors()]
+        self.flat = np.concatenate([t.data for t in tensors], axis=None)
+        ends = np.cumsum([t.data.size for t in tensors])
+        for t, view in zip(tensors, np.split(self.flat, ends[:-1])):
+            t.data = view.reshape(t.data.shape)
 
     def all_tensors(self) -> list[tuple[str, Tensor]]:
         out = [(f"vf.{n}", t) for n, t in self.vf.tensors()]
@@ -268,38 +279,48 @@ def cfm_loss(model: TrainedModel, z1: np.ndarray, z0: np.ndarray, t: float,
 
 
 class Adam:
-    """Standard Adam with bias correction over a fixed tensor list."""
+    """Standard Adam with bias correction on the parameter vector `flat`, in
+    place and in the textbook order per element: m and v from the gradient
+    `g`, then flat -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
 
-    def __init__(self, tensors: list[Tensor], lr: float, beta1: float, beta2: float,
+    def __init__(self, flat: np.ndarray, lr: float, beta1: float, beta2: float,
                  eps: float = 1e-8):
-        self.tensors = tensors
+        self.flat = flat
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(t.data) for t in tensors]
-        self.v = [np.zeros_like(t.data) for t in tensors]
+        self.m, self.v, self._s = (np.zeros_like(flat) for _ in range(3))
         self.step_count = 0
 
-    def step(self) -> None:
+    def step(self, g: np.ndarray) -> None:
+        """One update from `g`, a vector like `flat`, which it overwrites."""
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
-        for i, t in enumerate(self.tensors):
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
-            t.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        m, v, s = self.m, self.v, self._s
+        m *= self.b1
+        m += np.multiply(g, 1 - self.b1, out=s)
+        v *= self.b2
+        v += np.multiply(np.multiply(g, 1 - self.b2, out=s), g, out=s)
+        den = np.sqrt(np.divide(v, c2, out=g), out=g)
+        den += self.eps
+        np.multiply(np.divide(m, c1, out=s), self.lr, out=s)
+        self.flat -= np.divide(s, den, out=s)
 
-    def zero_grad(self) -> None:
-        for t in self.tensors:
-            t.grad = None
+
+def _take_grads(tensors: list[Tensor]) -> np.ndarray:
+    """The tensors' gradients as one new vector, zeros where one got none;
+    resets them. Backward may hand two leaves one array, so never adopt it."""
+    g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad
+                        for t in tensors], axis=None)
+    for t in tensors:
+        t.grad = None
+    return g
 
 
-def _clip_global_norm(tensors: list[Tensor], max_norm: float) -> None:
-    total = math.sqrt(sum(float((t.grad ** 2).sum()) for t in tensors if t.grad is not None))
+def _clip_global_norm(g: np.ndarray, max_norm: float) -> None:
+    """Scale the gradient vector `g` in place to norm `max_norm` if it is longer."""
+    total = math.sqrt(float(np.dot(g, g)))
     if total > max_norm > 0:
-        scale = max_norm / total
-        for t in tensors:
-            if t.grad is not None:
-                t.grad = t.grad * scale
+        g *= max_norm / total
 
 
 def parameter_count(cfg: RunConfig) -> int:
@@ -346,7 +367,7 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
 
     # a group the mode leaves out of the loss gets no gradient, so Adam leaves it as it is
     trainable = [t for _, t in model.all_tensors()]
-    opt = Adam(trainable, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
+    opt = Adam(model.flat, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
     rng = np.random.default_rng(cfg.seed + 1)
 
     for epoch in range(cfg.epochs):
@@ -354,7 +375,6 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
         epoch_losses = []
         for b0 in range(0, len(dataset), cfg.batch_size):
             batch = order[b0:b0 + cfg.batch_size]
-            opt.zero_grad()
             batch_loss = 0.0
             for i in batch:
                 pose, z1, cond = dataset[i]
@@ -374,9 +394,10 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
             if not math.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
+            g = _take_grads(trainable)
             if cfg.grad_clip > 0:
-                _clip_global_norm(trainable, cfg.grad_clip)
-            opt.step()
+                _clip_global_norm(g, cfg.grad_clip)
+            opt.step(g)
             epoch_losses.append(batch_loss / len(batch))
         model.loss_history.append(float(np.mean(epoch_losses)))
     return model

@@ -81,17 +81,11 @@ def detect_latent_beats(z: MusicLatent, rel_threshold: float = 0.5,
     Empty grid when channel 0 is nowhere positive.
     """
     c = z.data[:, 0]
-    n = c.size
     peak = c.max(initial=0.0)
-    beats = []
-    if peak > 0:
-        thr = rel_threshold * peak
-        for t in range(n):
-            left_ok = t == 0 or c[t] > c[t - 1]
-            right_ok = t == n - 1 or c[t] >= c[t + 1]
-            if left_ok and right_ok and c[t] >= thr:
-                beats.append(t)
-    return BeatGrid(beat_frames=beats, timeline_len=n, fps=fps)
+    left_ok = np.append(True, c[1:] > c[:-1])
+    right_ok = np.append(c[:-1] >= c[1:], True)
+    beats = np.flatnonzero(left_ok & right_ok & (c >= rel_threshold * peak) & (peak > 0))
+    return BeatGrid(beat_frames=beats.tolist(), timeline_len=c.size, fps=fps)
 
 
 def greedy_match(gen: list[int], truth: list[int], window: float) -> int:

@@ -108,12 +108,8 @@ def motion_diff(p: PoseSequence) -> MotionField:
 
 def local_minima(signal: np.ndarray) -> list[int]:
     """Interior local minima; two-sample plateaus resolve to the left index."""
-    out = []
-    n = signal.size
-    for t in range(1, n - 1):
-        if signal[t] < signal[t - 1] and signal[t] <= signal[t + 1]:
-            out.append(t)
-    return out
+    mid = signal[1:-1]
+    return (np.flatnonzero((mid < signal[:-2]) & (mid <= signal[2:])) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +178,9 @@ def map_to_latent(grid: BeatGrid, latent_len: int) -> list[int]:
     Monotone; collisions merge into a single index. The top edge is
     clamped so rounding can never leave the timeline.
     """
-    out: list[int] = []
-    for f in grid.beat_frames:
-        i = int(math.floor(f * latent_len / grid.timeline_len + 0.5))
-        i = min(i, latent_len - 1)
-        if not out or i != out[-1]:
-            out.append(i)
-    return out
+    frames = np.array(grid.beat_frames, dtype=np.float64)
+    i = np.minimum(np.floor(frames * latent_len / grid.timeline_len + 0.5), latent_len - 1)
+    return i[np.diff(i, prepend=-1) != 0].astype(np.int64).tolist()
 
 
 def synth_latent(

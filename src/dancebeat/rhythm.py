@@ -237,8 +237,7 @@ def baseline_binary_rhythm(p: PoseSequence, dim: int) -> np.ndarray:
     """Ablation baseline: binarized first-difference rhythm, 1 at speed minima."""
     s = motion_diff(p).magnitude.sum(axis=1)
     b = np.zeros(p.frames)
-    for t in local_minima(s):
-        b[t] = 1.0
+    b[local_minima(s)] = 1.0
     return np.tile(b[:, None], (1, dim))
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from dancebeat import flowgen
 from dancebeat import tensor as tz
-from dancebeat.align import segment_spans
+from dancebeat.align import segment_slots, segment_spans
 from dancebeat.errors import ConfigError, ShapeError
-from dancebeat.pose import MusicLatent
+from dancebeat.pose import MusicLatent, motion_diff
 from dancebeat.rhythm import phase_bins
 from dancebeat.tensor import Tensor, _emit, reflect_indices
 
@@ -168,6 +168,14 @@ def mean_pool_loop(r: Tensor, latent_len: int) -> Tensor:
                       for a, b in segment_spans(r.shape[0], latent_len)], axis=0)
 
 
+def mean_pool_weighted(r: Tensor, latent_len: int) -> Tensor:
+    """Segment means as one weighted sum of gathered slots, each weight 1/n."""
+    slots, inside = segment_slots(r.shape[0], latent_len)
+    weights = inside / inside.sum(axis=1, keepdims=True)
+    rows = tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]
+    return tz.tsum(tz.mul(rows, weights[:, :, None]), axis=1)
+
+
 def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
     """Multi-head self-attention, one head's slice at a time."""
     n, hidden = x.shape
@@ -181,6 +189,81 @@ def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
         scores = tz.mul(tz.matmul(q[:, sl], tz.transpose(k[:, sl])), 1.0 / math.sqrt(dh))
         outs.append(tz.matmul(tz.softmax(scores, axis=1), v[:, sl]))
     return tz.linear(tz.concat(outs, axis=1), blk.wo, blk.bo)
+
+
+# ---------------------------------------------------------------------------
+# the per-frame loops of the peak, minimum and beat-index scans (oracles for
+# tests/test_batched.py)
+
+
+def local_minima_loop(signal: np.ndarray) -> list[int]:
+    out = []
+    n = signal.size
+    for t in range(1, n - 1):
+        if signal[t] < signal[t - 1] and signal[t] <= signal[t + 1]:
+            out.append(t)
+    return out
+
+
+def latent_peaks_loop(c: np.ndarray, rel_threshold: float) -> list[int]:
+    """metrics.detect_latent_beats's frames for channel 0 `c`."""
+    n = c.size
+    peak = c.max(initial=0.0)
+    beats = []
+    if peak > 0:
+        thr = rel_threshold * peak
+        for t in range(n):
+            left_ok = t == 0 or c[t] > c[t - 1]
+            right_ok = t == n - 1 or c[t] >= c[t + 1]
+            if left_ok and right_ok and c[t] >= thr:
+                beats.append(t)
+    return beats
+
+
+def map_to_latent_loop(grid, latent_len: int) -> list[int]:
+    out: list[int] = []
+    for f in grid.beat_frames:
+        i = int(math.floor(f * latent_len / grid.timeline_len + 0.5))
+        i = min(i, latent_len - 1)
+        if not out or i != out[-1]:
+            out.append(i)
+    return out
+
+
+def binary_rhythm_loop(p, dim: int) -> np.ndarray:
+    """rhythm.baseline_binary_rhythm, filled one minimum at a time."""
+    s = motion_diff(p).magnitude.sum(axis=1)
+    b = np.zeros(p.frames)
+    for t in local_minima_loop(s):
+        b[t] = 1.0
+    return np.tile(b[:, None], (1, dim))
+
+
+# ---------------------------------------------------------------------------
+# the per-tensor optimizer (oracle for flowgen.Adam over the parameter vector)
+
+
+class adam_oracle:
+    """Standard Adam with bias correction over a fixed tensor list, stepping
+    from each tensor's own `grad`."""
+
+    def __init__(self, tensors: list[Tensor], lr: float, beta1: float, beta2: float,
+                 eps: float = 1e-8):
+        self.tensors = tensors
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(t.data) for t in tensors]
+        self.v = [np.zeros_like(t.data) for t in tensors]
+        self.step_count = 0
+
+    def step(self) -> None:
+        self.step_count += 1
+        c1 = 1.0 - self.b1 ** self.step_count
+        c2 = 1.0 - self.b2 ** self.step_count
+        for i, t in enumerate(self.tensors):
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            t.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The batched alignment, histogram, attention and wavelet paths agree with
-their one-op-per-segment/bin/head/column forms in tests/conftest.py, and the
-one-pass softmax and layer_norm with their multi-pass forms there."""
+their one-op-per-segment/bin/head/column forms in tests/conftest.py, the
+one-pass softmax and layer_norm with their multi-pass forms there, and the
+one-expression frame scans with their per-frame loops."""
 import re
 
 import numpy as np
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dancebeat import align, flowgen, pose, rhythm, tensor as tz
+from dancebeat import align, flowgen, metrics, pose, rhythm, tensor as tz
 from dancebeat.config import RunConfig
 from dancebeat.errors import ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import (align_loop, attention_pool_loop, conv_cols_loop, finite_difference,
-                      fusion_features_loop, layer_norm_oracle, mean_pool_loop, relerr,
-                      self_attention_loop, softmax_oracle)
+from conftest import (align_loop, attention_pool_loop, binary_rhythm_loop, conv_cols_loop,
+                      finite_difference, fusion_features_loop, latent_peaks_loop,
+                      layer_norm_oracle, local_minima_loop, map_to_latent_loop,
+                      mean_pool_loop, mean_pool_weighted, relerr, self_attention_loop,
+                      softmax_oracle)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -64,6 +67,18 @@ class TestAlignment:
         r = Tensor(rng.standard_normal((T, D)), requires_grad=True)
         assert_same(lambda: flowgen.mean_pool_align(r, count), lambda: mean_pool_loop(r, count),
                     [r], rng.standard_normal((count, D)))
+
+    @given(segmentations(), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_mean_pool_is_zero_query_attention(self, shape, seed):
+        # zero queries weigh each slot of a segment 1/n, as a weighted sum does
+        T, count, D = shape
+        rng = np.random.default_rng(seed)
+        r = Tensor(rng.standard_normal((T, D)), requires_grad=True)
+        c = rng.standard_normal((count, D))
+        got, (got_g,) = value_and_grads(lambda: flowgen.mean_pool_align(r, count), [r], c)
+        want, (want_g,) = value_and_grads(lambda: mean_pool_weighted(r, count), [r], c)
+        assert np.array_equal(got, want) and np.array_equal(got_g, want_g)
 
     @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
     @PROPERTY
@@ -208,6 +223,52 @@ class TestRhythmColumns:
         assert_same(lambda: rhythm.fusion_features(feats, w),
                     lambda: fusion_features_loop(feats, w, bins),
                     [w], rng.standard_normal((feats.magnitude.shape[0], (bins + 1) * scales)))
+
+
+# few distinct values, so plateaus and ties are common; lengths from 0
+signals = st.lists(st.integers(-2, 2), max_size=12).map(lambda v: np.array(v, dtype=np.float64))
+
+
+@st.composite
+def beat_grids(draw):
+    T = draw(st.integers(1, 300))
+    frames = sorted(draw(st.sets(st.integers(0, T - 1), max_size=30)))
+    return pose.BeatGrid(beat_frames=frames, timeline_len=T, fps=30.0)
+
+
+class TestPerFrameScans:
+    """The one-expression scans return exactly what their per-frame loops
+    in tests/conftest.py return, as lists of Python ints."""
+
+    @staticmethod
+    def assert_same_frames(got, want):
+        assert got == want and all(type(i) is int for i in got)
+
+    @given(signals)
+    @PROPERTY
+    def test_local_minima_match_loop(self, s):
+        self.assert_same_frames(pose.local_minima(s), local_minima_loop(s))
+
+    @given(signals.filter(len), st.sampled_from([0.0, 0.5, 1.0]))
+    @PROPERTY
+    def test_latent_peaks_match_loop(self, c, rel_threshold):
+        # a latent has at least one frame: a beat grid's timeline is never empty
+        det = metrics.detect_latent_beats(pose.MusicLatent(data=c[:, None]), rel_threshold)
+        self.assert_same_frames(det.beat_frames, latent_peaks_loop(c, rel_threshold))
+
+    @given(beat_grids(), st.integers(1, 120))
+    @PROPERTY
+    def test_map_to_latent_matches_loop(self, grid, latent_len):
+        self.assert_same_frames(pose.map_to_latent(grid, latent_len),
+                                map_to_latent_loop(grid, latent_len))
+
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_binary_rhythm_matches_loop(self, T, J, seed):
+        # coarse coordinates, so equal speeds are common
+        data = np.random.default_rng(seed).integers(0, 3, (T, J, 2)) / 2.0
+        p = pose.PoseSequence(data=data, fps=30.0)
+        assert np.array_equal(rhythm.baseline_binary_rhythm(p, 3), binary_rhythm_loop(p, 3))
 
 
 def clip_step_nodes(latent_len: int) -> int:

@@ -198,6 +198,29 @@ class TestTopLevel:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("owner, stage, command", [
+        (pose, "synth_conditioning", ("synth", "--n-clips", "1")),
+        (flowgen, "init_model", ("extract", "--pose", "clip_000.pose")),
+    ])
+    def test_allocation_failure_is_one_error_line(self, tmp_path, cfg_file, capsys,
+                                                 monkeypatch, owner, stage, command):
+        # a config can validate and still ask for more memory than there is
+        # (cond_len = 100000000: 5.96 GiB per clip); fake the failure, never allocate
+        data = tmp_path / "data"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "1") == 0
+
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.96 GiB for an array with shape "
+                              "(100000000, 8) and data type float64")
+
+        monkeypatch.setattr(owner, stage, too_big)
+        argv = [str(data / a) if a.endswith(".pose") else a for a in command]
+        rc, err = run_err(capsys, "--config", cfg_file, *argv, "--out", str(tmp_path / "o"))
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: Unable to allocate 5.96 GiB"), err
+
+
 def _openblas_fn(name, argtypes, restype):
     """A function of numpy's bundled OpenBLAS; skips where numpy bundles none."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))

@@ -266,6 +266,42 @@ class TestTrain:
         assert {n: g for n, g in peak.items() if not g > 1e-9 * top} == {}
 
 
+class TestParameterVector:
+    @pytest.mark.parametrize("source", ["init_model", "load_model", "train"])
+    def test_every_tensor_is_its_segment_of_flat(self, tmp_path, source):
+        from dancebeat.checkpoint import load_model, save_model
+
+        tc = tiny_tc(epochs=1)
+        model = tiny_model(tc) if source != "train" else train(tiny_dataset(2), tc)
+        if source == "load_model":
+            save_model(model, tmp_path / "ck")
+            model = load_model(tmp_path / "ck")
+        tensors = [t for _, t in model.all_tensors()]
+        assert all(np.shares_memory(t.data, model.flat) for t in tensors)
+        model.flat[:] = np.arange(model.flat.size)  # every value says where it lives
+        assert np.array_equal(np.concatenate([t.data for t in tensors], axis=None),
+                              model.flat)
+
+    def test_adam_matches_the_per_tensor_oracle(self):
+        tc = tiny_tc()
+        ref, model = tiny_model(tc), tiny_model(tc)
+        ref_tensors = [t for _, t in ref.all_tensors()]
+        tensors = [t for _, t in model.all_tensors()]
+        oracle = conftest.adam_oracle(ref_tensors, 3e-3, tc.adam_beta1, tc.adam_beta2)
+        opt = flowgen.Adam(model.flat, 3e-3, tc.adam_beta1, tc.adam_beta2)
+        rng = np.random.default_rng(7)
+        for step in range(5):
+            for i, (a, b) in enumerate(zip(ref_tensors, tensors)):
+                # some tensors get no gradient, a different set each step
+                scale = 10.0 ** rng.integers(-6, 3)
+                g = None if (i + step) % 3 == 0 else scale * rng.standard_normal(a.data.shape)
+                a.grad = b.grad = g
+            oracle.step()
+            opt.step(flowgen._take_grads(tensors))
+            want = np.concatenate([t.data for t in ref_tensors], axis=None)
+            assert model.flat.tobytes() == want.tobytes(), step
+
+
 class TestAblationModes:
     @pytest.mark.parametrize("mode", ["mean", "binary", "none"])
     def test_rhythm_modes_train(self, mode):

@@ -159,18 +159,21 @@ class TestBackward:
 
 class TestGradientSharing:
     def test_clipping_a_shared_gradient_scales_it_once(self):
-        from dancebeat.flowgen import _clip_global_norm
+        from dancebeat.flowgen import _clip_global_norm, _take_grads
 
-        # add's backward may hand p and q one array: an in-place scale
-        # would hit it twice
+        # add's backward hands p and q one array: both segments of the
+        # gathered vector are scaled once, and the shared array not at all
         p = Tensor(np.ones(3), requires_grad=True)
         q = Tensor(np.zeros(3), requires_grad=True)
         with Tape():
             backward(tz.tsum(tz.mul(tz.add(p, q), 4.0)))
-        _clip_global_norm([p, q], 1.0)
-        expect = np.full(3, 4 / np.sqrt(96))
-        assert relerr(p.grad, expect) < 1e-15
-        assert relerr(q.grad, expect) < 1e-15
+        shared = p.grad
+        assert np.shares_memory(q.grad, shared)
+        g = _take_grads([p, q])
+        assert p.grad is None and q.grad is None
+        _clip_global_norm(g, 1.0)
+        assert relerr(g, np.full(6, 4 / np.sqrt(96))) < 1e-15
+        assert np.array_equal(shared, np.full(3, 4.0))
 
     def test_constant_operands_get_no_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
