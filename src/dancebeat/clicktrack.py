@@ -49,13 +49,14 @@ def render_clicks(beats: BeatGrid, duration_s: float, sample_rate: int = 44100) 
 
 def write_wav(w: Waveform, path) -> None:
     """Canonical 44-byte RIFF/WAVE header, PCM 16-bit mono little-endian."""
-    q = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")
-    data = q.tobytes()
+    q = w.samples * 32767.0  # one scratch array, quantized in place
+    data = np.clip(np.round(q, out=q), -32768, 32767, out=q).astype("<i2")
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(data), b"WAVE",
+        b"RIFF", 36 + data.nbytes, b"WAVE",
         b"fmt ", 16, 1, 1, w.sample_rate, w.sample_rate * 2, 2, 16,
-        b"data", len(data),
+        b"data", data.nbytes,
     )
     with open(path, "wb") as f:
-        f.write(hdr + data)
+        f.write(hdr)
+        f.write(data)

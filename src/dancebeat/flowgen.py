@@ -131,11 +131,13 @@ def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
     def split(y, axes):  # (n, hidden) -> per-head stack, axes from (n, heads, dh)
         return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
 
-    q = split(tz.linear(x, blk.wq, blk.bq), (1, 0, 2))  # (heads, n, dh)
+    # scaling the (n, hidden) queries, not the (heads, n, n) scores, is exact
+    # when 1/sqrt(dh) is a power of two
+    q = split(tz.mul(tz.linear(x, blk.wq, blk.bq), 1.0 / math.sqrt(dh)), (1, 0, 2))
     kt = split(tz.linear(x, blk.wk), (1, 2, 0))  # (heads, dh, n)
-    v = split(tz.linear(x, blk.wv, blk.bv), (1, 0, 2))
-    scores = tz.mul(tz.matmul(q, kt), 1.0 / math.sqrt(dh))
-    out = tz.transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))  # (n, heads, dh)
+    v = split(tz.linear(x, blk.wv, blk.bv), (1, 0, 2))  # (heads, n, dh)
+    attn = tz.softmax(tz.matmul(q, kt), axis=-1)
+    out = tz.transpose(tz.matmul(attn, v), (1, 0, 2))  # (n, heads, dh)
     return tz.linear(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
 
 

@@ -56,8 +56,8 @@ class BeatGrid:
 
     def __post_init__(self):
         self.beat_frames = [int(f) for f in self.beat_frames]
-        if self.timeline_len < 1:
-            raise ConfigError(f"beat timeline length must be positive, got {self.timeline_len}")
+        if not 1 <= self.timeline_len <= 2 ** 53:  # a float holds it exactly
+            raise ConfigError(f"beat timeline length must be 1 to 2**53, got {self.timeline_len}")
         if not 0 < self.fps < math.inf:
             raise ConfigError(f"beat grid fps must be finite and positive, got {self.fps}")
         prev = -1

@@ -3,8 +3,10 @@
 Everything learnable in the pipeline runs on this module. Arrays are
 row-major numpy float64 throughout; a Tape records each differentiable
 operation so that unwinding it in reverse propagates adjoints back to
-every leaf with requires_grad set. Gradient arrays are never written in
-place, so one array may be the gradient of several tensors at once.
+every leaf with requires_grad set. Only leaves keep a gradient: backward
+drops each intermediate's once it has passed it on. Gradient arrays are
+never written in place, so one array may be the gradient of several
+tensors at once.
 """
 from __future__ import annotations
 
@@ -175,8 +177,10 @@ def relu(a) -> Tensor:
 # linear algebra and shape ops
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast as a batch."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as a
+    batch. An optional `bias` is added to the product in place, in the same
+    node."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         if a.ndim < 2 or b.ndim < 2:
@@ -184,24 +188,30 @@ def matmul(a, b) -> Tensor:
         out = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+    inputs = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        out += bias.data
+        inputs = (a, b, bias)
 
     def bwd(g):
+        if bias is not None:
+            bias._accum(g)
         if a.requires_grad:
             a._accum(g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
             b._accum(a.data.swapaxes(-1, -2) @ g)
 
-    return _emit(out, (a, b), bwd)
+    return _emit(out, inputs, bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    inv = np.argsort(axes)
 
     def bwd(g):
-        a._accum(g.transpose(inv))
+        a._accum(g.transpose(np.argsort(axes)))
 
     return _emit(a.data.transpose(axes), (a,), bwd)
 
@@ -321,8 +331,9 @@ def backward(loss: Tensor) -> None:
     by unwinding the active tape, so call it inside the `with Tape()` block
     that recorded the loss.
 
-    Repeated calls without zeroing accumulate, matching the usual
-    reverse-mode convention.
+    Intermediate gradients are not kept: each is dropped once passed on, so
+    after the call only leaves hold one. Repeated calls without zeroing
+    accumulate into the leaves, matching the usual reverse-mode convention.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -332,13 +343,11 @@ def backward(loss: Tensor) -> None:
     tape = _active_tape()
     if tape is None:
         raise ContractError("backward needs the tape that recorded the loss to be active")
-    # intermediates start each pass fresh; only leaf gradients accumulate
-    for out, _ in tape._records:
-        out.grad = None
     loss._accum(np.ones_like(loss.data))
     for out, fn in reversed(tape._records):
-        if out.grad is not None:
-            fn(out.grad)
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +364,7 @@ def zeros(shape) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
+    return matmul(x, w, b)
 
 
 def sinusoidal_embedding(positions, dim: int) -> np.ndarray:

@@ -192,6 +192,33 @@ def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the two-node biased linear and the attention that scales its scores
+# (oracles for the one-node tz.linear and the query-scaled attention)
+
+
+def linear_oracle(x, w, b) -> Tensor:
+    """x @ w + b as a matmul node and an add node."""
+    return tz.add(tz.matmul(x, w), b)
+
+
+def self_attention_scaled_scores(x: Tensor, blk, heads: int) -> Tensor:
+    """Multi-head self-attention with 1/sqrt(dh) applied to the (heads, n, n)
+    scores, every biased linear as two nodes."""
+    n, hidden = x.shape
+    dh = hidden // heads
+
+    def split(y, axes):
+        return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
+
+    q = split(linear_oracle(x, blk.wq, blk.bq), (1, 0, 2))
+    kt = split(tz.matmul(x, blk.wk), (1, 2, 0))
+    v = split(linear_oracle(x, blk.wv, blk.bv), (1, 0, 2))
+    scores = tz.mul(tz.matmul(q, kt), 1.0 / math.sqrt(dh))
+    out = tz.transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))
+    return linear_oracle(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
+
+
+# ---------------------------------------------------------------------------
 # the per-frame loops of the peak, minimum and beat-index scans (oracles for
 # tests/test_batched.py)
 

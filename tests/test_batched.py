@@ -18,7 +18,7 @@ from conftest import (align_loop, attention_pool_loop, binary_rhythm_loop, conv_
                       finite_difference, fusion_features_loop, latent_peaks_loop,
                       layer_norm_oracle, local_minima_loop, map_to_latent_loop,
                       mean_pool_loop, mean_pool_weighted, relerr, self_attention_loop,
-                      softmax_oracle)
+                      self_attention_scaled_scores, softmax_oracle)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -31,6 +31,13 @@ def value_and_grads(build, leaves, c):
         out = build()
         backward(tz.tsum(tz.mul(out, c)))
     return out.data, [leaf.grad for leaf in leaves]
+
+
+def tape_bytes(build) -> int:
+    """Bytes of the node outputs that build()'s tape keeps alive."""
+    with Tape() as tape:
+        build()
+    return sum(out.data.nbytes for out, _ in tape._records)
 
 
 def assert_same(batched, loop, leaves, c, tol=1e-12):
@@ -129,6 +136,29 @@ class TestAttentionHeads:
         assert_same(lambda: flowgen._self_attention(x, blk, heads),
                     lambda: self_attention_loop(x, blk, heads),
                     leaves, rng.standard_normal((n, hidden)))
+
+    @pytest.mark.parametrize("dh, tol", [(16, 0.0), (12, 1e-14)])
+    def test_scaling_queries_matches_scaling_scores(self, dh, tol):
+        # exact when 1/sqrt(dh) is a power of two, as at dh = 16; otherwise
+        # the two forms round differently, by about 1e-15 relative
+        heads, n = 4, 61
+        vf = flowgen.VelocityFieldParams.init(np.random.default_rng(dh), 1, heads * dh, heads,
+                                              latent_dim=2, rhythm_dim=2, cond_dim=2)
+        blk = vf.layers[0]
+        rng = np.random.default_rng(dh + 1)
+        x = Tensor(3.0 * rng.standard_normal((n, heads * dh)), requires_grad=True)
+        leaves = [x, blk.wq, blk.bq, blk.wk, blk.wv, blk.bv, blk.wo, blk.bo]
+        c = rng.standard_normal((n, heads * dh))
+        attention = lambda: flowgen._self_attention(x, blk, heads)
+        oracle = lambda: self_attention_scaled_scores(x, blk, heads)
+        got, want = value_and_grads(attention, leaves, c), value_and_grads(oracle, leaves, c)
+        for g, w in zip([got[0], *got[1]], [want[0], *want[1]]):
+            if tol == 0.0:
+                assert g.tobytes() == w.tobytes()
+            else:
+                assert relerr(g, w) < tol
+        # the tape holds no scaled copy of the (heads, n, n) scores
+        assert tape_bytes(attention) < tape_bytes(oracle) - heads * n * n * 8
 
 
 class TestBatchedMatmul:

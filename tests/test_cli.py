@@ -312,6 +312,17 @@ class TestMalformedInputs:
         self.assert_one_error(rc, err)
         assert str(beats) in err[0] and "fps must be finite and positive" in err[0], err
 
+    @pytest.mark.parametrize("length", ["9" * 401, str(2 ** 53 + 1), "0"],
+                             ids=["401-digits", "2**53+1", "0"])
+    def test_beats_timeline_length(self, tmp_path, cfg_file, data, capsys, length):
+        # a length a float cannot hold exactly is refused as the file is read
+        beats = data / "clip_000.beats"
+        beats.write_text(f"{length} 30.0\n2 5\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate",
+                          "--data", str(data), "--generated", str(data))
+        self.assert_one_error(rc, err)
+        assert str(beats) in err[0] and "timeline length must be 1 to 2**53" in err[0], err
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_synth_needs_a_clip(self, tmp_path, cfg_file, capsys, n):
         out = tmp_path / "empty"

@@ -266,6 +266,36 @@ class TestTrain:
         assert {n: g for n, g in peak.items() if not g > 1e-9 * top} == {}
 
 
+class TestClipStepMemory:
+    def test_backward_peak_near_what_forward_holds(self):
+        # a long_clip clip-step: 20 s clips on a 200-step latent, 211 tokens
+        import tracemalloc
+
+        tc = RunConfig(duration_s=20.0, latent_len=200)
+        model = flowgen.init_model(tc)
+        pose, grid = synth_dance(120, tc.duration_s, tc.fps, joints=tc.joints,
+                                 noise_std=0.01, seed=0)
+        z1 = synth_latent(grid, tc.latent_len, tc.latent_dim, seed=1).data
+        cond = synth_conditioning(tc.cond_len, tc.cond_dim, seed=2)
+        z0 = np.random.default_rng(3).standard_normal(z1.shape)
+        feats = flowgen.rhythm_input(pose, model)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                rcond = flowgen.rhythm_condition_tensor(feats, model)
+                loss = cfm_loss(model, z1, z0, 0.4, rcond, cond)
+                forward = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                backward(loss)
+                peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * forward, (peak, forward)
+        assert all(out.grad is None for out, _ in tape._records)
+        assert all(t.grad is not None for _, t in model.rhythm_net.tensors())
+
+
 class TestParameterVector:
     @pytest.mark.parametrize("source", ["init_model", "load_model", "train"])
     def test_every_tensor_is_its_segment_of_flat(self, tmp_path, source):

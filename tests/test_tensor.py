@@ -7,7 +7,7 @@ from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import conv1d_same, finite_difference, relerr
+from conftest import conv1d_same, finite_difference, linear_oracle, relerr
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -155,6 +155,41 @@ class TestBackward:
             g1 = x.grad.copy()
             backward(loss)
         assert np.array_equal(x.grad, 2 * g1)
+
+    def test_only_leaves_keep_a_gradient(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        with Tape() as tape:
+            h = tz.relu(tz.linear(x, w, b))
+            backward(tz.tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1))))
+        assert all(out.grad is None for out, _ in tape._records)
+        assert all(t.grad is not None for t in (x, w, b))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape, x_grad", [((5, 3), True), ((2, 5, 3), True),
+                                                 ((5, 3), False)],
+                             ids=["2-D", "batched", "constant-x"])
+    def test_one_node_equal_to_matmul_then_add(self, rng, x_shape, x_grad):
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        c = rng.standard_normal(x_shape[:-1] + (4,))
+        runs = []
+        for op in (tz.linear, linear_oracle):
+            for t in (x, w, b):
+                t.grad = None
+            with Tape() as tape:
+                y = op(x, w, b)
+                nodes = len(tape)
+                backward(tz.tsum(tz.mul(y, c)))
+            runs.append((nodes, [y.data, x.grad, w.grad, b.grad]))
+        (nodes, got), (oracle_nodes, want) = runs
+        assert (nodes, oracle_nodes) == (1, 2)
+        assert (x.grad is None) != x_grad
+        for g, o in zip(got, want):
+            assert (g is None and o is None) or (g.shape == o.shape and g.tobytes() == o.tobytes())
 
 
 class TestGradientSharing:
