@@ -141,52 +141,65 @@ def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
     return tz.linear(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
 
 
+def _time_token(params: VelocityFieldParams, t: float) -> Tensor:
+    temb = Tensor(tz.sinusoidal_embedding([t * TIME_FREQ_SCALE], params.hidden))
+    return tz.linear(tz.relu(tz.linear(temb, params.time_w1, params.time_b1)),
+                     params.time_w2, params.time_b2)
+
+
+def _cond_tokens(params: VelocityFieldParams, cond) -> Tensor:
+    if cond is None:
+        return params.null_cond
+    cdata = cond.data if isinstance(cond, (ConditioningFeatures,)) else np.asarray(cond)
+    if cdata.shape[1] != params.cond_w.shape[0]:
+        raise ConfigError(f"conditioning dim {cdata.shape[1]} != model dim "
+                          f"{params.cond_w.shape[0]}")
+    return tz.linear(Tensor(cdata), params.cond_w, params.cond_b)
+
+
+def _rhythm_tokens(params: VelocityFieldParams, rhythm, T_m: int) -> Tensor:
+    if rhythm is None:
+        return params.null_rhythm
+    rhythm = tz.as_tensor(rhythm)
+    if rhythm.shape[0] != T_m:
+        raise ConfigError(f"rhythm length {rhythm.shape[0]} != latent length {T_m}")
+    return tz.linear(rhythm, params.rhythm_w, params.rhythm_b)
+
+
+def _latent_tokens(params: VelocityFieldParams, z: Tensor, positions) -> Tensor:
+    return tz.add(tz.linear(z, params.lat_w, params.lat_b), positions)
+
+
+def _transformer(params: VelocityFieldParams, tt: Tensor, ct: Tensor, lat: Tensor,
+                 rt: Tensor) -> Tensor:
+    x = tz.concat([tt, ct, tz.add(lat, rt)], axis=0)
+    for blk in params.layers:
+        x = tz.add(x, _self_attention(_ln(x, blk.ln1_g, blk.ln1_b), blk, params.heads))
+        h = tz.linear(tz.relu(tz.linear(_ln(x, blk.ln2_g, blk.ln2_b), blk.f1, blk.fb1)),
+                      blk.f2, blk.fb2)
+        x = tz.add(x, h)
+    n, T_m = x.shape[0], lat.shape[0]
+    out = _ln(x[n - T_m:n, :], params.out_g, params.out_b)
+    return tz.linear(out, params.head_w, params.head_b)
+
+
 def velocity(params: VelocityFieldParams, z_t, t: float,
              rhythm=None, cond=None) -> Tensor:
     """Predicted velocity at time t, shape (T_m, d).
 
     Token layout: [time token] ++ [conditioning tokens] ++ [latent tokens
     with rhythm features added positionwise]. Null rhythm/conditioning are
-    replaced by learned null tokens.
+    replaced by learned null tokens. `generate` builds each token from the
+    same helpers, but only as often as it changes.
     """
     z = tz.as_tensor(z_t)
     T_m, d = z.shape
     if d != params.latent_dim:
         raise ConfigError(f"latent dim {d} != model dim {params.latent_dim}")
-
-    temb = Tensor(tz.sinusoidal_embedding([t * TIME_FREQ_SCALE], params.hidden))
-    tt = tz.linear(tz.relu(tz.linear(temb, params.time_w1, params.time_b1)),
-                   params.time_w2, params.time_b2)
-
-    if cond is None:
-        ct = params.null_cond
-    else:
-        cdata = cond.data if isinstance(cond, (ConditioningFeatures,)) else np.asarray(cond)
-        if cdata.shape[1] != params.cond_w.shape[0]:
-            raise ConfigError(f"conditioning dim {cdata.shape[1]} != model dim "
-                              f"{params.cond_w.shape[0]}")
-        ct = tz.linear(Tensor(cdata), params.cond_w, params.cond_b)
-
-    lat = tz.linear(z, params.lat_w, params.lat_b)
-    lat = tz.add(lat, tz.sinusoidal_embedding(np.arange(T_m), params.hidden))
-    if rhythm is None:
-        lat = tz.add(lat, params.null_rhythm)
-    else:
-        rhythm = tz.as_tensor(rhythm)
-        if rhythm.shape[0] != T_m:
-            raise ConfigError(
-                f"rhythm length {rhythm.shape[0]} != latent length {T_m}")
-        lat = tz.add(lat, tz.linear(rhythm, params.rhythm_w, params.rhythm_b))
-
-    x = tz.concat([tt, ct, lat], axis=0)
-    for blk in params.layers:
-        x = tz.add(x, _self_attention(_ln(x, blk.ln1_g, blk.ln1_b), blk, params.heads))
-        h = tz.linear(tz.relu(tz.linear(_ln(x, blk.ln2_g, blk.ln2_b), blk.f1, blk.fb1)),
-                      blk.f2, blk.fb2)
-        x = tz.add(x, h)
-    n = x.shape[0]
-    out = _ln(x[n - T_m:n, :], params.out_g, params.out_b)
-    return tz.linear(out, params.head_w, params.head_b)
+    pos = tz.sinusoidal_embedding(np.arange(T_m), params.hidden)
+    # arguments evaluate in order: the tape records time, cond, latent, rhythm
+    return _transformer(params, _time_token(params, t), _cond_tokens(params, cond),
+                        _latent_tokens(params, z, pos), _rhythm_tokens(params, rhythm, T_m))
 
 
 def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.ndarray:
@@ -410,13 +423,19 @@ def generate(model: TrainedModel, pose: PoseSequence, cond: ConditioningFeatures
     """Sample a latent for one clip with `steps` Euler steps at guidance
     scale `cfg_scale`, conditioning on its rhythm unless `conditioned` is
     False (null-token generation)."""
+    vf, T_m = model.vf, model.config.latent_len
     r = rhythm_condition_tensor(rhythm_input(pose, model), model) if conditioned else None
     c = cond if conditioned else None
+    # context tokens once a clip; time and latent tokens once a step, for both passes
+    ct, rt = _cond_tokens(vf, c), _rhythm_tokens(vf, r, T_m)
+    positions = Tensor(tz.sinusoidal_embedding(np.arange(T_m), vf.hidden))
 
     def field(z, t):
+        tt, lat = _time_token(vf, t), _latent_tokens(vf, Tensor(z), positions)
+        v = _transformer(vf, tt, ct, lat, rt).data
         if r is None and c is None:
-            return velocity(model.vf, z, t).data
-        return cfg_velocity(velocity(model.vf, z, t, r, c).data,
-                            velocity(model.vf, z, t).data, cfg_scale)
+            return v
+        return cfg_velocity(v, _transformer(vf, tt, vf.null_cond, lat, vf.null_rhythm).data,
+                            cfg_scale)
 
-    return euler_sample(field, (model.config.latent_len, model.vf.latent_dim), steps, seed)
+    return euler_sample(field, (T_m, vf.latent_dim), steps, seed)

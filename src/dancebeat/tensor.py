@@ -1,12 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything learnable in the pipeline runs on this module. Arrays are
-row-major numpy float64 throughout; a Tape records each differentiable
-operation so that unwinding it in reverse propagates adjoints back to
-every leaf with requires_grad set. Only leaves keep a gradient: backward
-drops each intermediate's once it has passed it on. Gradient arrays are
-never written in place, so one array may be the gradient of several
-tensors at once.
+row-major numpy float64 throughout. A Tape records each differentiable
+operation as its output's gradient slot and a backward closure that holds
+its inputs' slots and only the arrays its formula reads, so the forward
+frees every other value as soon as it drops it. Only leaves keep a
+gradient: backward drops each intermediate's once it has passed it on.
+Gradient arrays are never written in place, so one array may be the
+gradient of several tensors at once.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ class Tape:
     """Ordered record of executed operations for reverse-mode replay."""
 
     def __init__(self):
-        self._records: list[tuple["Tensor", object]] = []
+        self._records: list[tuple["GradSlot", object]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -33,9 +34,6 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def record(self, out: "Tensor", backward_fn) -> None:
-        self._records.append((out, backward_fn))
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -44,16 +42,48 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-class Tensor:
-    """A contiguous float64 array plus an optional gradient buffer."""
+class GradSlot:
+    """What backward needs of a tensor, without its value."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("shape", "requires_grad", "grad")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.shape, self.requires_grad, self.grad = shape, requires_grad, None
+
+    def _accum(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        g = _unbroadcast(g, self.shape)
+        self.grad = g if self.grad is None else self.grad + g
+
+
+# shared by every tensor that wants no gradient; Tensor.grad's setter never writes it
+_NO_GRAD = GradSlot((), False)
+
+
+class Tensor:
+    """A contiguous float64 array plus its gradient slot."""
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self.slot = GradSlot(self.data.shape, True) if requires_grad else _NO_GRAD
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.slot is _NO_GRAD:
+            self.slot = GradSlot(self.data.shape, False)
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,10 +103,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accum(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        g = _unbroadcast(g, self.data.shape)
-        self.grad = g if self.grad is None else self.grad + g
+        self.slot._accum(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -104,11 +131,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Wrap an op's contiguous float64 output. If a tape is active and an input wants a
+    gradient, the tape records a new slot for it; otherwise it shares _NO_GRAD."""
+    out = Tensor.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
     tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        tape.record(out, backward_fn)
+    if tape is not None and any(t.slot.requires_grad for t in inputs):
+        out.slot = GradSlot(out.data.shape, True)
+        tape._records.append((out.slot, backward_fn))
+    else:
+        out.slot = _NO_GRAD
     return out
 
 
@@ -118,57 +150,63 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
-        a._accum(g)
-        b._accum(g)
+        sa._accum(g)
+        sb._accum(g)
 
     return _emit(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
-        a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
+        sa._accum(g)
+        if sb.requires_grad:
+            sb._accum(-g)
 
     return _emit(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.slot, b.slot
+    # each side's gradient reads the other side's value
+    ad = a.data if sb.requires_grad else None
+    bd = b.data if sa.requires_grad else None
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
+        if sa.requires_grad:
+            sa._accum(g * bd)
+        if sb.requires_grad:
+            sb._accum(g * ad)
 
     return _emit(a.data * b.data, (a, b), bwd)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    y = np.empty_like(a.data)
+    sa, y = a.slot, np.empty_like(a.data)
     pos = a.data >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
     ez = np.exp(a.data[~pos])
     y[~pos] = ez / (1.0 + ez)
 
     def bwd(g):
-        a._accum(g * y * (1.0 - y))
+        sa._accum(g * y * (1.0 - y))
 
     return _emit(y, (a,), bwd)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
+    sa, mask = a.slot, a.data > 0
 
     def bwd(g):
-        a._accum(g * mask)
+        sa._accum(g * mask)
 
     return _emit(a.data * mask, (a,), bwd)
 
@@ -182,95 +220,98 @@ def matmul(a, b, bias=None) -> Tensor:
     batch. An optional `bias` is added to the product in place, in the same
     node."""
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd, sa, sb = a.data, b.data, a.slot, b.slot
     try:
-        if a.ndim < 2 or b.ndim < 2:
+        if ad.ndim < 2 or bd.ndim < 2:
             raise ValueError
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(ad, bd)
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-    inputs = (a, b)
+    inputs, sbias = (a, b), None
     if bias is not None:
         bias = as_tensor(bias)
         out += bias.data
-        inputs = (a, b, bias)
+        inputs, sbias = (a, b, bias), bias.slot
 
     def bwd(g):
-        if bias is not None:
-            bias._accum(g)
-        if a.requires_grad:
-            a._accum(g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            b._accum(a.data.swapaxes(-1, -2) @ g)
+        if sbias is not None:
+            sbias._accum(g)
+        if sa.requires_grad:
+            sa._accum(g @ bd.swapaxes(-1, -2))
+        if sb.requires_grad:
+            sb._accum(ad.swapaxes(-1, -2) @ g)
 
     return _emit(out, inputs, bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
+    sa = a.slot
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
 
     def bwd(g):
-        a._accum(g.transpose(np.argsort(axes)))
+        sa._accum(g.transpose(np.argsort(axes)))
 
-    return _emit(a.data.transpose(axes), (a,), bwd)
+    return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    old = a.data.shape
+    sa = a.slot
 
     def bwd(g):
-        a._accum(g.reshape(old))
+        sa._accum(g.reshape(sa.shape))
 
     return _emit(a.data.reshape(shape), (a,), bwd)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    slots = [p.slot for p in parts]
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bwd(g):
-        for p, gp in zip(parts, np.split(g, splits, axis=axis)):
-            p._accum(gp)
+        for sp, gp in zip(slots, np.split(g, splits, axis=axis)):
+            sp._accum(gp)
 
     return _emit(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def tslice(a, key) -> Tensor:
     a = as_tensor(a)
+    sa = a.slot
 
     def bwd(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
+        if sa.requires_grad:
+            buf = np.zeros(sa.shape)
             buf[key] = g
-            a._accum(buf)
+            sa._accum(buf)
 
     return _emit(a.data[key].copy(), (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    shape = a.data.shape
+    sa = a.slot
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, shape).copy())
+        sa._accum(np.broadcast_to(g, sa.shape).copy())
 
     return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
+    sa = a.slot
+    n = a.data.size if axis is None else a.data.shape[axis]
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, shape) / n)
+        sa._accum(np.broadcast_to(g, sa.shape) / n)
 
     return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -278,13 +319,13 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax; rows sum to 1 along `axis`."""
     a = as_tensor(a)
-    y = a.data - a.data.max(axis=axis, keepdims=True)
+    sa, y = a.slot, a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        a._accum(y * (g - dot))
+        sa._accum(y * (g - dot))
 
     return _emit(y, (a,), bwd)
 
@@ -292,7 +333,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
     """Normalize along the last axis to zero mean / unit variance."""
     a = as_tensor(a)
-    n = a.data.shape[-1]
+    sa, n = a.slot, a.data.shape[-1]
     xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
     xhat *= inv
@@ -300,7 +341,7 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
     def bwd(g):
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
-        a._accum((g - gm - xhat * gx) * inv)
+        sa._accum((g - gm - xhat * gx) * inv)
 
     return _emit(xhat, (a,), bwd)
 
@@ -344,8 +385,8 @@ def backward(loss: Tensor) -> None:
     if tape is None:
         raise ContractError("backward needs the tape that recorded the loss to be active")
     loss._accum(np.ones_like(loss.data))
-    for out, fn in reversed(tape._records):
-        g, out.grad = out.grad, None
+    for slot, fn in reversed(tape._records):
+        g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)
 

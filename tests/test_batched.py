@@ -3,6 +3,7 @@ their one-op-per-segment/bin/head/column forms in tests/conftest.py, the
 one-pass softmax and layer_norm with their multi-pass forms there, and the
 one-expression frame scans with their per-frame loops."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,11 +34,18 @@ def value_and_grads(build, leaves, c):
     return out.data, [leaf.grad for leaf in leaves]
 
 
-def tape_bytes(build) -> int:
-    """Bytes of the node outputs that build()'s tape keeps alive."""
-    with Tape() as tape:
-        build()
-    return sum(out.data.nbytes for out, _ in tape._records)
+def tape_buffers(build) -> list[int]:
+    """Sizes in bytes of the numpy buffers that build()'s tape keeps alive
+    once build()'s result is dropped, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        with Tape():
+            build()
+            snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return [trace.size for trace in snapshot.filter_traces([numpy_only]).traces]
 
 
 def assert_same(batched, loop, leaves, c, tol=1e-12):
@@ -157,8 +165,9 @@ class TestAttentionHeads:
                 assert g.tobytes() == w.tobytes()
             else:
                 assert relerr(g, w) < tol
-        # the tape holds no scaled copy of the (heads, n, n) scores
-        assert tape_bytes(attention) < tape_bytes(oracle) - heads * n * n * 8
+        # of the (heads, n, n) arrays the tape keeps only softmax's output:
+        # no scores, scaled or not
+        assert tape_buffers(attention).count(heads * n * n * 8) == 1
 
 
 class TestBatchedMatmul:
@@ -313,6 +322,10 @@ def clip_step_nodes(latent_len: int) -> int:
         rcond = flowgen.rhythm_condition_tensor(feats, model)
         tz.mul(flowgen.cfm_loss(model, z1, 0.5 * z1, 0.3, rcond, cond), 0.25)
         return len(tape)
+
+
+def test_desk_clip_step_records_99_nodes():
+    assert clip_step_nodes(RunConfig().latent_len) == 99
 
 
 def test_clip_step_tape_is_small_and_independent_of_latent_len():

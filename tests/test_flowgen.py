@@ -291,7 +291,9 @@ class TestClipStepMemory:
                 peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.4 * forward, (peak, forward)
+        # what the forward holds and the backward peak, in bytes: the tape
+        # keeps only the arrays a backward formula reads
+        assert forward <= 11e6 and peak <= 15e6, (forward, peak)
         assert all(out.grad is None for out, _ in tape._records)
         assert all(t.grad is not None for _, t in model.rhythm_net.tensors())
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,45 @@ class TestBackward:
             backward(tz.tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1))))
         assert all(out.grad is None for out, _ in tape._records)
         assert all(t.grad is not None for t in (x, w, b))
+
+
+class TestWhatTheTapeKeeps:
+    @pytest.mark.parametrize("op", ["relu", "softmax"])
+    def test_pre_activation_freed_once_the_forward_drops_it(self, rng, op):
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        c = rng.standard_normal((5, 4))
+        with Tape():
+            pre = tz.matmul(x, w)
+            held = weakref.ref(pre.data)
+            y = tz.relu(pre) if op == "relu" else tz.softmax(pre, axis=-1)
+            del pre
+            # relu's backward reads its mask and softmax's its output
+            assert held() is None
+            backward(tz.tsum(tz.mul(y, c)))
+        # the same formulas in numpy, to the byte
+        p = x.data @ w.data
+        if op == "relu":
+            mask = p > 0
+            want, gp = p * mask, c * mask
+        else:
+            want = np.exp(p - p.max(axis=-1, keepdims=True))
+            want /= want.sum(axis=-1, keepdims=True)
+            gp = want * (c - (c * want).sum(axis=-1, keepdims=True))
+        assert y.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == (gp @ w.data.T).tobytes()
+        assert w.grad.tobytes() == (x.data.T @ gp).tobytes()
+
+    def test_writing_grad_on_one_unrecorded_output_never_shows_on_another(self, rng):
+        x = Tensor(rng.standard_normal(3))
+        a = tz.relu(x)
+        with Tape():
+            b = tz.mul(x, 2.0)  # recorded by no tape: no input wants a gradient
+        a.grad = np.ones(3)
+        assert b.grad is None and x.grad is None and tz.relu(x).grad is None
+        assert not a.requires_grad and not b.requires_grad
+        b.grad = np.zeros(3)
+        assert np.array_equal(a.grad, np.ones(3))
 
 
 class TestLinear:
