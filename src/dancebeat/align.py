@@ -23,10 +23,13 @@ class ContextQueries:
 
     data: Tensor
 
+    @staticmethod
+    def layout(count: int, dim: int) -> tz.Layout:
+        return [("queries", (count, dim), dim)]
+
     @classmethod
     def init(cls, rng: np.random.Generator, count: int, dim: int) -> "ContextQueries":
-        a = 1.0 / math.sqrt(dim)
-        return cls(data=Tensor(rng.uniform(-a, a, size=(count, dim)), requires_grad=True))
+        return cls(tz.parameters(cls.layout(count, dim), np.empty(count * dim), rng)["queries"])
 
     @property
     def count(self) -> int:
@@ -35,9 +38,6 @@ class ContextQueries:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [("queries", self.data)]
 
 
 def segment_spans(total: int, count: int) -> list[tuple[int, int]]:

@@ -7,15 +7,17 @@ Manifest lines, in this order:
     tensor <name> <d1[,d2,...]> <byte offset>
 
 Config values are parsed by the config file's typed parser, never
-evaluated. Loading rebuilds the model, wavelet bank included, from the
-config alone, after checking the blob's length and digest; every tensor
-line must then match the rebuilt model. The blob is the model's one
-parameter vector, `TrainedModel.flat`: each tensor's values contiguously in
-manifest order, so a round trip is bit-exact.
+evaluated; the tensor lines are `flowgen.layout(config)`'s. Loading checks
+the blob file's size against the recorded length, that length against the
+config and every tensor line against the layout before it reads the blob
+and checks its digest. The blob is `TrainedModel.flat`, each tensor's
+values contiguously in manifest order, and the loaded model wraps a copy of
+it, so a round trip is bit-exact.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, parse_value
 from .errors import ConfigError, ParseError
-from .flowgen import TrainedModel, init_model, parameter_count
+from .flowgen import TrainedModel, build_model, layout, parameter_count
 from .pose import read_lines
 
 MAGIC = "dancebeat-checkpoint 3"
@@ -34,12 +36,12 @@ MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden
               "rhythm_mode", "align_mode")
 
 
-def _tensor_lines(model: TrainedModel) -> list[str]:
-    """The manifest records of the model's tensors, blob offsets included."""
+def _tensor_lines(cfg: RunConfig) -> list[str]:
+    """The manifest records of the config's tensors, blob offsets included."""
     lines, off = [], 0
-    for name, t in model.all_tensors():
-        lines.append(f"tensor {name} {','.join(str(d) for d in t.data.shape)} {off}")
-        off += 8 * t.data.size
+    for name, shape, _ in layout(cfg):
+        lines.append(f"tensor {name} {','.join(str(d) for d in shape)} {off}")
+        off += 8 * math.prod(shape)
     return lines
 
 
@@ -48,7 +50,7 @@ def save_model(model: TrainedModel, path) -> None:
     blob = model.flat.astype("<f8", copy=False).tobytes()
     lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
     lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
-    lines += _tensor_lines(model)
+    lines += _tensor_lines(model.config)
     path.with_suffix(".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
     path.with_suffix(".bin").write_bytes(blob)
 
@@ -78,21 +80,25 @@ def load_model(path) -> TrainedModel:
     except ConfigError as e:
         raise ParseError(f"checkpoint config: {e}", path=manifest)
 
+    # nothing of the blob is read before the manifest is known to describe it
     bin_path = path.with_suffix(".bin")
-    blob = bin_path.read_bytes()
-    if blob_rec[1:] != [str(len(blob)), hashlib.sha256(blob).hexdigest()]:
-        raise ParseError(f"{bin_path} ({len(blob)} bytes) does not match the manifest's "
-                         f"recorded length and SHA-256", line=2)
-    # sized from the config only once the config is known to fit the blob
-    if 8 * parameter_count(cfg) != len(blob):
+    mismatch = lambda n: ParseError(f"{bin_path} ({n} bytes) does not match the manifest's "
+                                    f"recorded length and SHA-256", line=2)
+    size = bin_path.stat().st_size
+    if blob_rec[1] != str(size):
+        raise mismatch(size)
+    if blob_rec[1] != str(8 * parameter_count(cfg)):
         raise ParseError(f"the checkpoint config describes {parameter_count(cfg)} values, "
-                         f"the blob holds {len(blob) // 8}")
-    model = init_model(cfg)
+                         f"the blob holds {size // 8}")
     first = 3 + len(kwargs)
-    want = _tensor_lines(model)
-    for ln, (w, g) in enumerate(zip(want + [None], lines[first - 1:] + [None]), start=first):
+    for ln, (w, g) in enumerate(zip(_tensor_lines(cfg) + [None], lines[first - 1:] + [None]),
+                                start=first):
         if w != g:
             show = lambda s: "end of manifest" if s is None else repr(s)
             raise ParseError(f"expected {show(w)}, found {show(g)}", ln, manifest)
-    model.flat[...] = np.frombuffer(blob, dtype="<f8")
-    return model
+    flat = np.empty(size // 8, dtype="<f8")
+    with bin_path.open("rb") as f:
+        got = f.readinto(flat)
+    if got != size or hashlib.sha256(flat).hexdigest() != blob_rec[2]:
+        raise mismatch(got)
+    return build_model(cfg, flat.astype(np.float64, copy=False))

@@ -9,7 +9,7 @@ the rhythm extractor, and the alignment queries with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class TransformerBlock:
     f2: Tensor
     fb2: Tensor
 
-    def tensors(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
-
 
 @dataclass
 class VelocityFieldParams:
@@ -77,47 +74,20 @@ class VelocityFieldParams:
     def hidden(self) -> int:
         return self.lat_w.shape[1]
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, blocks: int, hidden: int, heads: int,
-             latent_dim: int, rhythm_dim: int, cond_dim: int) -> "VelocityFieldParams":
-        if hidden % heads != 0:
-            raise ConfigError(f"hidden size {hidden} not divisible by {heads} heads")
-        ff = 4 * hidden
-        # keyword arguments evaluate in order, which fixes the draws from rng
-        w = lambda fan_in, fan_out: tz.init_uniform(rng, (fan_in, fan_out), fan_in)
-        ones = lambda: Tensor(np.ones(hidden), requires_grad=True)
-        return cls(
-            heads=heads,
-            time_w1=w(hidden, hidden), time_b1=tz.zeros(hidden),
-            time_w2=w(hidden, hidden), time_b2=tz.zeros(hidden),
-            cond_w=w(cond_dim, hidden), cond_b=tz.zeros(hidden),
-            null_cond=tz.init_uniform(rng, (1, hidden), hidden),
-            rhythm_w=w(rhythm_dim, hidden), rhythm_b=tz.zeros(hidden),
-            null_rhythm=tz.init_uniform(rng, (1, hidden), hidden),
-            lat_w=w(latent_dim, hidden), lat_b=tz.zeros(hidden),
-            layers=[TransformerBlock(
-                ln1_g=ones(), ln1_b=tz.zeros(hidden),
-                wq=w(hidden, hidden), bq=tz.zeros(hidden),
-                wk=w(hidden, hidden),
-                wv=w(hidden, hidden), bv=tz.zeros(hidden),
-                wo=w(hidden, hidden), bo=tz.zeros(hidden),
-                ln2_g=ones(), ln2_b=tz.zeros(hidden),
-                f1=w(hidden, ff), fb1=tz.zeros(ff),
-                f2=w(ff, hidden), fb2=tz.zeros(hidden),
-            ) for _ in range(blocks)],
-            out_g=ones(), out_b=tz.zeros(hidden),
-            head_w=w(hidden, latent_dim), head_b=tz.zeros(latent_dim),
-        )
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for f in fields(self):
-            if f.name == "layers":
-                for i, blk in enumerate(self.layers):
-                    out.extend(blk.tensors(f"block{i}"))
-            elif f.type == "Tensor":
-                out.append((f.name, getattr(self, f.name)))
-        return out
+    @staticmethod
+    def layout(cfg: RunConfig) -> tz.Layout:
+        h, ff, ld = cfg.hidden, 4 * cfg.hidden, cfg.latent_dim
+        w = lambda name, fan_in, fan_out: (name, (fan_in, fan_out), fan_in)
+        z = lambda name, n=h: (name, (n,), "zeros")
+        block = [("ln1_g", (h,), "ones"), z("ln1_b"), w("wq", h, h), z("bq"), w("wk", h, h),
+                 w("wv", h, h), z("bv"), w("wo", h, h), z("bo"), ("ln2_g", (h,), "ones"),
+                 z("ln2_b"), w("f1", h, ff), z("fb1", ff), w("f2", ff, h), z("fb2")]
+        return [w("time_w1", h, h), z("time_b1"), w("time_w2", h, h), z("time_b2"),
+                w("cond_w", cfg.cond_dim, h), z("cond_b"), ("null_cond", (1, h), h),
+                w("rhythm_w", cfg.rhythm_dim, h), z("rhythm_b"), ("null_rhythm", (1, h), h),
+                w("lat_w", ld, h), z("lat_b"),
+                *[(f"block{i}.{n}", *rest) for i in range(cfg.blocks) for n, *rest in block],
+                ("out_g", (h,), "ones"), z("out_b"), w("head_w", h, ld), z("head_b", ld)]
 
 
 def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -229,7 +199,7 @@ def euler_sample(field, shape: tuple[int, int], steps: int, seed: int) -> MusicL
 @dataclass
 class TrainedModel:
     """Every tensor's `data` is a view into `flat`, the one parameter vector,
-    in `all_tensors` order: write through them, never rebind a `data`."""
+    at its `layout(config)` segment: write through them, never rebind a `data`."""
 
     vf: VelocityFieldParams
     rhythm_net: RhythmParams
@@ -237,20 +207,11 @@ class TrainedModel:
     bank: WaveletBank
     config: RunConfig
     loss_history: list[float]
-    flat: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self):
-        tensors = [t for _, t in self.all_tensors()]
-        self.flat = np.concatenate([t.data for t in tensors], axis=None)
-        ends = np.cumsum([t.data.size for t in tensors])
-        for t, view in zip(tensors, np.split(self.flat, ends[:-1])):
-            t.data = view.reshape(t.data.shape)
+    flat: np.ndarray
+    tensors: dict[str, Tensor]  # by layout name, in layout order
 
     def all_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [(f"vf.{n}", t) for n, t in self.vf.tensors()]
-        out += [(f"rhythm.{n}", t) for n, t in self.rhythm_net.tensors()]
-        out += [(f"align.{n}", t) for n, t in self.queries.tensors()]
-        return out
+        return list(self.tensors.items())
 
 
 def rhythm_input(pose: PoseSequence, model: TrainedModel):
@@ -338,26 +299,48 @@ def _clip_global_norm(g: np.ndarray, max_norm: float) -> None:
         g *= max_norm / total
 
 
+# init_model draws the groups in this order, not in their `flat` order (vf,
+# rhythm, align), which keeps the initial weights of earlier versions
+DRAW_ORDER = ("rhythm", "align", "vf")
+
+
+def _group_layouts(cfg: RunConfig) -> dict[str, tz.Layout]:
+    return {"vf": VelocityFieldParams.layout(cfg),
+            "rhythm": RhythmParams.layout(cfg.scales, cfg.bins, cfg.rhythm_dim,
+                                          cfg.hidden_w, cfg.hidden_a),
+            "align": ContextQueries.layout(cfg.latent_len, cfg.rhythm_dim)}
+
+
+def layout(cfg: RunConfig) -> tz.Layout:
+    """Every parameter tensor of the model, group-prefixed, in `flat` order."""
+    return [(f"{g}.{name}", shape, init) for g, group in _group_layouts(cfg).items()
+            for name, shape, init in group]
+
+
 def parameter_count(cfg: RunConfig) -> int:
-    """Number of float64 values in the tensors of init_model(cfg), worked
-    out without allocating them."""
-    S, D, h, b, ld = cfg.scales, cfg.rhythm_dim, cfg.hidden, cfg.blocks, cfg.latent_dim
-    rhythm_net = ((1 + S) * cfg.hidden_w + 2 * cfg.hidden_w + (cfg.bins + 1) * S * D + D
-                  + D * cfg.hidden_a + 2 * cfg.hidden_a + 1)
-    vf = (2 + 12 * b) * h * h + (cfg.cond_dim + D + 2 * ld + 9 + 12 * b) * h + ld
-    return rhythm_net + cfg.latent_len * D + vf
+    """Number of float64 values in `flat`, summed over the layout's shapes."""
+    return tz.layout_size(layout(cfg))
+
+
+def build_model(cfg: RunConfig, flat: np.ndarray,
+                rng: np.random.Generator | None = None) -> TrainedModel:
+    """The model over views of `flat`'s `layout(cfg)` segments, drawn first if given `rng`."""
+    groups = _group_layouts(cfg)
+    starts = dict(zip(groups, np.cumsum([0] + [tz.layout_size(g) for g in groups.values()])))
+    t = {g: tz.parameters(groups[g], flat[starts[g]:], rng) for g in DRAW_ORDER}
+    block = lambda i: {f.name: t["vf"][f"block{i}.{f.name}"] for f in fields(TransformerBlock)}
+    vf = VelocityFieldParams(heads=cfg.heads,
+                             layers=[TransformerBlock(**block(i)) for i in range(cfg.blocks)],
+                             **{n: x for n, x in t["vf"].items() if "." not in n})
+    return TrainedModel(vf=vf, rhythm_net=RhythmParams(cfg.scales, cfg.bins, **t["rhythm"]),
+                        queries=ContextQueries(t["align"]["queries"]),
+                        bank=build_wavelet_bank(cfg.scales, cfg.base_period), config=cfg,
+                        loss_history=[], flat=flat,
+                        tensors={f"{g}.{n}": x for g in groups for n, x in t[g].items()})
 
 
 def init_model(cfg: RunConfig) -> TrainedModel:
-    rng = np.random.default_rng(cfg.seed)
-    bank = build_wavelet_bank(cfg.scales, cfg.base_period)
-    rhythm_net = RhythmParams.init(rng, cfg.scales, cfg.bins, cfg.rhythm_dim,
-                                   cfg.hidden_w, cfg.hidden_a)
-    queries = ContextQueries.init(rng, cfg.latent_len, cfg.rhythm_dim)
-    vf = VelocityFieldParams.init(rng, cfg.blocks, cfg.hidden, cfg.heads,
-                                  cfg.latent_dim, cfg.rhythm_dim, cfg.cond_dim)
-    return TrainedModel(vf=vf, rhythm_net=rhythm_net, queries=queries, bank=bank,
-                        config=cfg, loss_history=[])
+    return build_model(cfg, np.empty(parameter_count(cfg)), np.random.default_rng(cfg.seed))
 
 
 def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],

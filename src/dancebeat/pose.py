@@ -7,7 +7,7 @@ rest of the pipeline a ground truth to be verified against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

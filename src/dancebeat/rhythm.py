@@ -12,7 +12,7 @@ differentiable with respect to every parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,26 +74,20 @@ class RhythmParams:
     a2: Tensor
     ab2: Tensor
 
+    @staticmethod
+    def layout(scales: int, bins: int, dim: int, hidden_w: int, hidden_a: int) -> tz.Layout:
+        fin, fuse_in = 1 + scales, bins * scales + scales
+        return [("w1", (fin, hidden_w), fin), ("b1", (hidden_w,), "zeros"),
+                ("w2", (hidden_w, 1), hidden_w),
+                ("fuse_w", (fuse_in, dim), fuse_in), ("fuse_b", (dim,), "zeros"),
+                ("a1", (dim, hidden_a), dim), ("ab1", (hidden_a,), "zeros"),
+                ("a2", (hidden_a, 1), hidden_a), ("ab2", (1,), "zeros")]
+
     @classmethod
     def init(cls, rng: np.random.Generator, scales: int, bins: int, dim: int,
              hidden_w: int = 16, hidden_a: int = 16) -> "RhythmParams":
-        fin = 1 + scales
-        fuse_in = bins * scales + scales
-        return cls(
-            scales=scales, bins=bins,
-            w1=tz.init_uniform(rng, (fin, hidden_w), fin),
-            b1=tz.zeros(hidden_w),
-            w2=tz.init_uniform(rng, (hidden_w, 1), hidden_w),
-            fuse_w=tz.init_uniform(rng, (fuse_in, dim), fuse_in),
-            fuse_b=tz.zeros(dim),
-            a1=tz.init_uniform(rng, (dim, hidden_a), dim),
-            ab1=tz.zeros(hidden_a),
-            a2=tz.init_uniform(rng, (hidden_a, 1), hidden_a),
-            ab2=tz.zeros(1),
-        )
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "Tensor"]
+        layout = cls.layout(scales, bins, dim, hidden_w, hidden_a)
+        return cls(scales, bins, **tz.parameters(layout, np.empty(tz.layout_size(layout)), rng))
 
 
 @dataclass

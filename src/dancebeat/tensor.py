@@ -394,14 +394,30 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # parameter helpers
 
+# A parameter layout: (name, shape, initialiser) per tensor, in vector order. The
+# initialiser is "zeros", "ones" or a fan-in, for a uniform draw on ±1/sqrt(fan_in).
+Layout = list[tuple[str, tuple[int, ...], int | str]]
 
-def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    a = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
+
+def layout_size(layout: Layout) -> int:
+    return sum(math.prod(shape) for _, shape, _ in layout)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def parameters(layout: Layout, flat: np.ndarray,
+               rng: np.random.Generator | None = None) -> dict[str, Tensor]:
+    """Learnable tensors, by layout name, over consecutive segments of `flat`
+    from its start; given `rng`, each is first set by its initialiser."""
+    out, off = {}, 0
+    for name, shape, init in layout:
+        view = flat[off:off + math.prod(shape)].reshape(shape)
+        off += view.size
+        if rng is not None and init in ("zeros", "ones"):
+            view[...] = 0.0 if init == "zeros" else 1.0
+        elif rng is not None:
+            a = 1.0 / math.sqrt(init)
+            view[...] = rng.uniform(-a, a, size=shape)
+        out[name] = Tensor(view, requires_grad=True)
+    return out
 
 
 def linear(x, w, b=None) -> Tensor:

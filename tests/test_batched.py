@@ -129,15 +129,20 @@ class TestAlignment:
             assert relerr(g, finite_difference(loss, leaf.data)) < 1e-8
 
 
+def one_block(seed: int, hidden: int, heads: int) -> flowgen.TransformerBlock:
+    """The transformer block of a freshly drawn one-block model."""
+    cfg = RunConfig(seed=seed, blocks=1, hidden=hidden, heads=heads, latent_dim=2,
+                    rhythm_dim=2, cond_dim=2)
+    return flowgen.init_model(cfg).vf.layers[0]
+
+
 class TestAttentionHeads:
     @given(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(1, 12),
            st.integers(0, 2 ** 32 - 1))
     @PROPERTY
     def test_head_batch_matches_head_loop(self, heads, dh, n, seed):
         hidden = heads * dh
-        vf = flowgen.VelocityFieldParams.init(np.random.default_rng(seed), 1, hidden, heads,
-                                              latent_dim=2, rhythm_dim=2, cond_dim=2)
-        blk = vf.layers[0]
+        blk = one_block(seed, hidden, heads)
         rng = np.random.default_rng(seed + 1)
         x = Tensor(3.0 * rng.standard_normal((n, hidden)), requires_grad=True)
         leaves = [x, blk.wq, blk.wk, blk.wv, blk.wo]
@@ -150,9 +155,7 @@ class TestAttentionHeads:
         # exact when 1/sqrt(dh) is a power of two, as at dh = 16; otherwise
         # the two forms round differently, by about 1e-15 relative
         heads, n = 4, 61
-        vf = flowgen.VelocityFieldParams.init(np.random.default_rng(dh), 1, heads * dh, heads,
-                                              latent_dim=2, rhythm_dim=2, cond_dim=2)
-        blk = vf.layers[0]
+        blk = one_block(dh, heads * dh, heads)
         rng = np.random.default_rng(dh + 1)
         x = Tensor(3.0 * rng.standard_normal((n, heads * dh)), requires_grad=True)
         leaves = [x, blk.wq, blk.bq, blk.wk, blk.wv, blk.bv, blk.wo, blk.bo]

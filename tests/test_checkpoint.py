@@ -1,3 +1,6 @@
+import hashlib
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from dancebeat.checkpoint import MAGIC, load_model, save_model
 from dancebeat.config import RunConfig, load_config
 from dancebeat.errors import ConfigError, ParseError
-from dancebeat.flowgen import euler_sample, init_model, parameter_count, velocity
+from dancebeat.flowgen import euler_sample, init_model, layout, parameter_count, velocity
 
 
 def tiny_tc(**kw):
@@ -151,12 +154,42 @@ class TestCheckpointIntegrity:
         with pytest.raises(ParseError, match="vf.time_b1"):
             load_model(ckpt)
 
+    def test_oversized_blob_is_never_read(self, ckpt):
+        os.truncate(ckpt.with_suffix(".bin"), 64 << 20)  # sparse: no disk blocks written
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="SHA-256"):
+                load_model(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+    def test_load_draws_nothing(self, ckpt, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew from an RNG")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        model = load_model(ckpt)
+        assert model.flat.tobytes() == ckpt.with_suffix(".bin").read_bytes()
+
     @pytest.mark.parametrize("kw", [{}, dict(blocks=3, hidden=12, heads=3, bins=5),
                                     dict(scales=3, latent_len=7, cond_dim=1, latent_dim=9)])
     def test_parameter_count_is_exact(self, kw):
         model = init_model(tiny_tc(**kw))
         assert parameter_count(model.config) == sum(t.data.size for _, t in model.all_tensors())
+        assert ([(name, t.shape) for name, t in model.all_tensors()]
+                == [(name, shape) for name, shape, _ in layout(model.config)])
 
     def test_desk_model_size(self):
         assert parameter_count(RunConfig()) == 120_985
         assert len(init_model(RunConfig()).all_tensors()) == 56
+
+    # SHA-256 of the initial parameter vector, recorded with numpy 2.4.6. The
+    # draws run rhythm, then queries, then vf, whatever order `flat` keeps.
+    @pytest.mark.parametrize("cfg, digest", [
+        (RunConfig(), "f671ed95291d0131ff5af0ea4bbeb2ddbe98520f2c54a1a801dcb5f5df1eb0e3"),
+        (tiny_tc(), "0319e82361d72bfcb32b84003920b83023c639d7d36b7aaf585e0a47045d65ee"),
+    ], ids=["desk", "tiny"])
+    def test_initial_parameters_are_pinned(self, cfg, digest):
+        assert hashlib.sha256(init_model(cfg).flat.tobytes()).hexdigest() == digest
