@@ -116,13 +116,12 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 
 def cmd_align(cfg: RunConfig, args) -> int:
     r = rhythm.load_rhythm(args.rhythm)
-    if args.ckpt:
-        queries = _load_checkpoint(cfg, args.ckpt).queries
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        queries = align_mod.ContextQueries.init(rng, cfg.latent_len, r.dim)
+    if r.dim != cfg.rhythm_dim:
+        raise ConfigError(f"{args.rhythm} has {r.dim} columns but rhythm_dim is {cfg.rhythm_dim}")
+    # without a checkpoint, the queries of the untrained model `extract` uses
+    model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
-    a = align_mod.align(r, queries, cfg.align_mode)
+    a = align_mod.align(r, model.queries, cfg.align_mode)
     rhythm.save_rhythm(a, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "align")
     print(f"aligned rhythm {a.length}x{a.dim} -> {args.out}")

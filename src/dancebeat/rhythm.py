@@ -103,10 +103,11 @@ class ClipRhythmFeatures:
     mx: np.ndarray          # (T-1, J, S) filtered x displacement
     my: np.ndarray          # (T-1, J, S) filtered y displacement
     mag_s: np.ndarray       # (T-1, J, S) per-scale magnitude sqrt(mx^2 + my^2)
-    # (T-1, J, K*S + S): the phase histogram columns ((k, s) row-major: the
-    # joint's scale-s magnitude where its phase falls in bin k, else 0), then
-    # the S wavelet columns
-    columns: np.ndarray
+    # (T-1, J, S) integer: where the joint's scale-s magnitude lands in the
+    # row-major (T-1, K*S + S) fusion input, t*(K*S + S) + k*S + s for the
+    # phase bin k, 0 <= k < bins, that holds its phase at frame t
+    column: np.ndarray
+    bins: int
 
 
 @dataclass
@@ -157,20 +158,28 @@ def scale_components(m: MotionField, bank: WaveletBank) -> tuple[np.ndarray, np.
 def phase_bins(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
     """Index of the right-open phase bin on [-pi, pi) holding atan2(my, mx)."""
     theta = np.arctan2(my, mx)
-    idx = np.floor((theta + math.pi) / (2.0 * math.pi / bins)).astype(np.intp)
-    return np.mod(idx, bins)  # angle exactly pi wraps to bin 0
+    theta += math.pi
+    theta /= 2.0 * math.pi / bins
+    idx = np.floor(theta, out=theta).astype(np.intp)
+    idx %= bins  # angle exactly pi wraps to bin 0
+    return idx
+
+
+def fusion_column(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
+    """ClipRhythmFeatures.column: t*(K*S + S) + k*S + s, k the phase bin."""
+    Tm1, _, S = mx.shape
+    column = phase_bins(mx, my, bins)
+    column *= S
+    column += np.arange(0, Tm1 * (bins + 1) * S, (bins + 1) * S)[:, None, None] + np.arange(S)
+    return column
 
 
 def clip_features(p: PoseSequence, bank: WaveletBank, bins: int) -> ClipRhythmFeatures:
     m = motion_diff(p)
     w = wavelet_features(m, bank)
     mx, my, mag_s = scale_components(m, bank)
-    Tm1, J, S = w.shape
-    columns = np.zeros((Tm1, J, (bins + 1) * S))
-    np.put_along_axis(columns, phase_bins(mx, my, bins) * S + np.arange(S), mag_s, axis=2)
-    columns[:, :, bins * S:] = w
     return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=w, mx=mx, my=my, mag_s=mag_s,
-                              columns=columns)
+                              column=fusion_column(mx, my, bins), bins=bins)
 
 
 def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tensor:
@@ -186,11 +195,12 @@ def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tens
 
 
 def fusion_features(feats: ClipRhythmFeatures, w: Tensor) -> Tensor:
-    """The (T-1, K*S + S) fusion input: the joint-weighted sum of the
-    clip's fusion columns, one (1, J) @ (J, K*S + S) product per frame.
-    The columns are constants; gradient flows through `w` only."""
-    Tm1, J, C = feats.columns.shape
-    return tz.reshape(tz.matmul(tz.reshape(w, (Tm1, 1, J)), feats.columns), (Tm1, C))
+    """The (T-1, K*S + S) fusion input: per frame, the joint-weighted
+    phase histograms ((k, s) row-major, each joint's scale-s magnitude in
+    its bin's column) and the joint-weighted wavelet responses, in one
+    scatter node. The features are constants; gradient flows through `w` only."""
+    return tz.weighted_scatter(w, feats.column, feats.mag_s, feats.wavelet,
+                               feats.bins * feats.wavelet.shape[2])
 
 
 def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple[Tensor, Tensor]:

@@ -244,6 +244,26 @@ def matmul(a, b, bias=None) -> Tensor:
     return _emit(out, inputs, bwd)
 
 
+def weighted_scatter(w, index, values, dense, width: int) -> Tensor:
+    """(N, width + S) rows from (N, J) weights `w` and constant (N, J, S)
+    arrays: row n sums w[n, j] * values[n, j, s] at flat position
+    index[n, j, s] of the row-major output (one of row n's first `width`
+    columns), and w[n, j] * dense[n, j, s] into column width + s.
+    Gradient flows through `w` only."""
+    w = as_tensor(w)
+    sw = w.slot
+    n, _, S = values.shape
+    out = np.bincount(index.ravel(), (w.data[:, :, None] * values).ravel(),
+                      minlength=n * (width + S)).reshape(n, width + S)
+    out[:, width:] = np.matmul(w.data[:, None, :], dense)[:, 0, :]
+
+    def bwd(g):
+        sw._accum(np.einsum("njs,njs->nj", np.take(g, index), values)
+                  + np.matmul(dense, g[:, width:, None])[:, :, 0])
+
+    return _emit(out, (w,), bwd)
+
+
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     sa = a.slot

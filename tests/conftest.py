@@ -66,8 +66,8 @@ def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
 
 # ---------------------------------------------------------------------------
 # the unbatched forms of the batched layers: one op per column, bin, segment
-# or head, and the multi-pass forms of the one-pass kernels (oracles for
-# tests/test_batched.py)
+# or head, the dense-column form of the fusion scatter, and the multi-pass
+# forms of the one-pass kernels (oracles for tests/test_batched.py)
 
 
 def conv1d_same(signal, kernel) -> Tensor:
@@ -117,6 +117,26 @@ def fusion_features_loop(feats, w: Tensor, bins: int) -> Tensor:
     for s in range(S):
         cols.append(tz.tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
     return tz.concat(cols, axis=1)
+
+
+def dense_fusion_columns(feats) -> np.ndarray:
+    """The (T-1, J, K*S + S) block: each joint's scale-s magnitude in the
+    column k*S + s of its phase bin k, zeros in the other bins, then the S
+    wavelet columns."""
+    Tm1, J, S = feats.mag_s.shape
+    columns = np.zeros((Tm1, J, (feats.bins + 1) * S))
+    np.put_along_axis(columns, phase_bins(feats.mx, feats.my, feats.bins) * S + np.arange(S),
+                      feats.mag_s, axis=2)
+    columns[:, :, feats.bins * S:] = feats.wavelet
+    return columns
+
+
+def fusion_features_matmul(feats, w: Tensor) -> Tensor:
+    """The fusion input as one (1, J) @ (J, K*S + S) product per frame over
+    the dense columns."""
+    columns = dense_fusion_columns(feats)
+    Tm1, J, C = columns.shape
+    return tz.reshape(tz.matmul(tz.reshape(w, (Tm1, 1, J)), columns), (Tm1, C))
 
 
 def softmax_oracle(a, axis: int = -1) -> Tensor:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dancebeat import align, flowgen, metrics, pose, rhythm, tensor as tz
 from dancebeat.config import RunConfig
@@ -16,10 +17,10 @@ from dancebeat.errors import ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
 from conftest import (align_loop, attention_pool_loop, binary_rhythm_loop, conv_cols_loop,
-                      finite_difference, fusion_features_loop, latent_peaks_loop,
-                      layer_norm_oracle, local_minima_loop, map_to_latent_loop,
-                      mean_pool_loop, mean_pool_weighted, relerr, self_attention_loop,
-                      self_attention_scaled_scores, softmax_oracle)
+                      finite_difference, fusion_features_loop, fusion_features_matmul,
+                      latent_peaks_loop, layer_norm_oracle, local_minima_loop,
+                      map_to_latent_loop, mean_pool_loop, mean_pool_weighted, relerr,
+                      self_attention_loop, self_attention_scaled_scores, softmax_oracle)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -246,6 +247,15 @@ def poses(draw):
     return pose.PoseSequence(data=rng.uniform(0, 1, (T, J, 2)), fps=30.0)
 
 
+@st.composite
+def phase_grids(draw):
+    """(mx, my) on a coarse grid: joints often share a phase bin, bins stay
+    empty, (0, 0) has no magnitude and (-1, 0) has a phase of exactly pi."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    coarse = arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+    return draw(coarse), draw(coarse)
+
+
 class TestRhythmColumns:
     @given(poses(), st.integers(1, 4), st.sampled_from([2.0, 2.5, 3.0, 4.0]))
     @PROPERTY
@@ -265,6 +275,27 @@ class TestRhythmColumns:
         assert_same(lambda: rhythm.fusion_features(feats, w),
                     lambda: fusion_features_loop(feats, w, bins),
                     [w], rng.standard_normal((feats.magnitude.shape[0], (bins + 1) * scales)))
+
+    @given(phase_grids(), st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_fusion_scatter_matches_dense_matmul(self, grid, bins, seed):
+        mx, my = grid
+        Tm1, J, S = mx.shape
+        rng = np.random.default_rng(seed)
+        feats = rhythm.ClipRhythmFeatures(
+            magnitude=None, wavelet=rng.standard_normal((Tm1, J, S)), mx=mx, my=my,
+            mag_s=np.sqrt(mx ** 2 + my ** 2), column=rhythm.fusion_column(mx, my, bins),
+            bins=bins)
+        w = Tensor(rng.dirichlet(np.ones(J), Tm1), requires_grad=True)
+        assert_same(lambda: rhythm.fusion_features(feats, w),
+                    lambda: fusion_features_matmul(feats, w),
+                    [w], rng.standard_normal((Tm1, (bins + 1) * S)))
+
+    def test_phase_pi_takes_bin_zero_column(self):
+        # K = 4, S = 2, two frames: scale 0 at phase pi wraps to bin 0, scale 1 at
+        # phase 0 is bin 2, and each frame's row starts (K + 1) * S = 10 further on
+        mx = np.array([[[-1.0, 1.0]], [[-1.0, 1.0]]])
+        assert rhythm.fusion_column(mx, np.zeros_like(mx), 4).tolist() == [[[0, 5]], [[10, 15]]]
 
 
 # few distinct values, so plateaus and ties are common; lengths from 0
@@ -327,8 +358,8 @@ def clip_step_nodes(latent_len: int) -> int:
         return len(tape)
 
 
-def test_desk_clip_step_records_99_nodes():
-    assert clip_step_nodes(RunConfig().latent_len) == 99
+def test_desk_clip_step_records_97_nodes():
+    assert clip_step_nodes(RunConfig().latent_len) == 97
 
 
 def test_clip_step_tape_is_small_and_independent_of_latent_len():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dancebeat import checkpoint, cli, flowgen, metrics, pose, rhythm
+from dancebeat import align, checkpoint, cli, flowgen, metrics, pose, rhythm
 from dancebeat.cli import main
 from dancebeat.config import RunConfig, load_config
 from dancebeat.tensor import Tensor
@@ -107,6 +107,17 @@ class TestExtractAlign:
                    "--out", str(out)) == 0
         header = out.read_text().splitlines()[0].split()
         assert header[:2] == ["10", "6"]  # latent_len rows
+
+    def test_uncheckpointed_pipeline_is_one_untrained_model(self, tmp_path, cfg_file):
+        data, r, a = tmp_path / "data", tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "1") == 0
+        assert run("--config", cfg_file, "extract", "--pose", str(data / "clip_000.pose"),
+                   "--out", str(r)) == 0
+        assert run("--config", cfg_file, "align", "--rhythm", str(r), "--out", str(a)) == 0
+        m = flowgen.init_model(load_config(cfg_file))
+        p = pose.load_pose_sequence(data / "clip_000.pose")
+        want = align.align(rhythm.extract_rhythm(p, m.bank, m.rhythm_net), m.queries)
+        assert np.array_equal(rhythm.load_rhythm(a).data, want.data)
 
 
 class TestTrainGenerateEvaluate:
@@ -302,6 +313,23 @@ class TestMalformedInputs:
         r.write_text("\n".join(lines) + "\n")
         self.assert_one_error(*run_err(capsys, "--config", cfg_file, "align",
                                        "--rhythm", str(r), "--out", str(tmp_path / "a")))
+
+    @pytest.mark.parametrize("align_mode", ["attn", "meanpool"])
+    @pytest.mark.parametrize("ckpt", [False, True])
+    def test_rhythm_width(self, tmp_path, data, capsys, align_mode, ckpt):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(TINY_CFG + f"align_mode = {align_mode!r}\n")
+        model = tmp_path / "model"
+        if ckpt:
+            assert run("--config", str(cfg), "train", "--data", str(data),
+                       "--out", str(model)) == 0
+        r = tmp_path / "clip.rhythm"
+        rhythm.save_rhythm(rhythm.RhythmEmbedding(data=np.ones((60, 5)), fps=30.0), r)
+        rc, err = run_err(capsys, "--config", str(cfg), "align", "--rhythm", str(r),
+                          "--out", str(tmp_path / "a"), *(["--ckpt", str(model)] if ckpt else []))
+        self.assert_one_error(rc, err)
+        assert "5 columns but rhythm_dim is 6" in err[0]
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("fps", ["0", "-30", "inf", "nan"])
     def test_beats_fps(self, tmp_path, cfg_file, data, capsys, fps):

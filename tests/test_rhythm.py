@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dancebeat import tensor as tz
 from dancebeat import rhythm
+from dancebeat.config import RunConfig
 from dancebeat.errors import ConfigError
 from dancebeat.pose import PoseSequence, motion_diff, synth_dance
 from dancebeat.tensor import Tape, Tensor, backward
@@ -128,7 +130,7 @@ class TestJointWeights:
         wav = np.array([[[0.1], [0.2]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=None,
-            columns=None)
+            column=None, bins=2)
         w = rhythm.joint_weight_tensor(feats, params).data
         # logits: relu(0.5 + 2*0.1) = 0.7 ; relu(0.25 + 2*0.2) = 0.65
         expect = np.exp([0.7, 0.65]) / np.exp([0.7, 0.65]).sum()
@@ -217,11 +219,12 @@ class TestFuseAndExtract:
         mag = np.array([[1.0], [2.0]])
         wav = np.array([[[0.5]], [[0.25]]])
         mag_s = np.array([[[1.0]], [[2.0]]])
-        # (bin 0, bin 1, wavelet) columns: frame 0 falls in bin 0, frame 1 in bin 1
-        columns = np.array([[[1.0, 0.0, 0.5]], [[0.0, 2.0, 0.25]]])
+        # fusion columns (bin 0, bin 1, wavelet): frame 0 falls in bin 0, frame 1 in bin 1,
+        # which is flat position 3 + 1 of the (2, 3) fusion input
+        column = np.array([[[0]], [[4]]])
         feats = rhythm.ClipRhythmFeatures(
             magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=mag_s,
-            columns=columns)
+            column=column, bins=2)
         out, gate = rhythm.rhythm_core_tensor(feats, params)
         # frame 0: h = [1, 0], ww = 0.5 -> core = [1+2*0.5, 0] = [2, 0]
         # frame 1: h = [0, 2], ww = 0.25 -> core = [0.5, 2]
@@ -267,6 +270,25 @@ class TestFuseAndExtract:
             fd = finite_difference(lambda: loss_value().item(), leaf.data)
             got = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             assert relerr(got, fd) < 1e-4, f"{name}: {relerr(got, fd)}"
+
+
+class TestFeatureMemory:
+    def test_long_clip_holds_no_bin_wide_array(self):
+        # a 20 s clip at the default config: the magnitude plus five (T-1, J, S)
+        # arrays, and nothing K times as wide
+        cfg = RunConfig(duration_s=20.0)
+        p, _ = synth_dance(120.0, cfg.duration_s, cfg.fps, cfg.joints, seed=1)
+        bank = rhythm.build_wavelet_bank(cfg.scales, cfg.base_period)
+        feats = rhythm.clip_features(p, bank, cfg.bins)
+        held = {}
+        for field in dataclasses.fields(feats):
+            a = getattr(feats, field.name)
+            while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                a = a.base  # a view keeps its whole base alive
+            if isinstance(a, np.ndarray):
+                held[id(a)] = a.nbytes
+        cells = (p.frames - 1) * cfg.joints
+        assert sum(held.values()) <= cells * 8 + 5 * cells * cfg.scales * 8
 
 
 class TestRhythmFile:

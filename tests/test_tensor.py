@@ -122,6 +122,19 @@ class TestSoftmax:
         check_grad(lambda: tz.tsum(tz.mul(tz.softmax(x, axis=1), c)), [x])
 
 
+class TestWeightedScatter:
+    def test_grad_vs_fd(self, rng):
+        # 3 rows of width 6 + S: four joints' two scales often share a column
+        n, J, S, width = 3, 4, 2, 6
+        index = (np.arange(0, n * (width + S), width + S)[:, None, None]
+                 + rng.integers(0, width, (n, J, S)))
+        values, dense = rng.standard_normal((n, J, S)), rng.standard_normal((n, J, S))
+        w = Tensor(rng.standard_normal((n, J)), requires_grad=True)
+        c = rng.standard_normal((n, width + S))
+        check_grad(lambda: tz.tsum(tz.mul(tz.weighted_scatter(w, index, values, dense, width),
+                                          c)), [w])
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
