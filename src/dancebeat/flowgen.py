@@ -95,20 +95,10 @@ def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
 
 
 def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
-    n, hidden = x.shape
-    dh = hidden // heads
-
-    def split(y, axes):  # (n, hidden) -> per-head stack, axes from (n, heads, dh)
-        return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
-
-    # scaling the (n, hidden) queries, not the (heads, n, n) scores, is exact
-    # when 1/sqrt(dh) is a power of two
-    q = split(tz.mul(tz.linear(x, blk.wq, blk.bq), 1.0 / math.sqrt(dh)), (1, 0, 2))
-    kt = split(tz.linear(x, blk.wk), (1, 2, 0))  # (heads, dh, n)
-    v = split(tz.linear(x, blk.wv, blk.bv), (1, 0, 2))  # (heads, n, dh)
-    attn = tz.softmax(tz.matmul(q, kt), axis=-1)
-    out = tz.transpose(tz.matmul(attn, v), (1, 0, 2))  # (n, heads, dh)
-    return tz.linear(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
+    q = tz.linear(x, blk.wq, blk.bq)
+    k = tz.linear(x, blk.wk)
+    v = tz.linear(x, blk.wv, blk.bv)
+    return tz.linear(tz.attention(q, k, v, heads), blk.wo, blk.bo)
 
 
 def _time_token(params: VelocityFieldParams, t: float) -> Tensor:

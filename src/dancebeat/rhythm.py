@@ -150,8 +150,10 @@ def scale_components(m: MotionField, bank: WaveletBank) -> tuple[np.ndarray, np.
     """Filtered x/y displacement per scale plus the per-scale magnitude."""
     if m.diffs.shape[2] < 2:
         raise ConfigError("phase analysis needs x and y coordinates (C >= 2)")
-    mx = _conv_cols(m.diffs[:, :, 0], bank)
-    my = _conv_cols(m.diffs[:, :, 1], bank)
+    J = m.diffs.shape[1]
+    # one filtering pass over the (T-1, 2J) stack: x in columns :J, y after
+    mxy = _conv_cols(np.concatenate([m.diffs[:, :, 0], m.diffs[:, :, 1]], axis=1), bank)
+    mx, my = mxy[:, :J], mxy[:, J:]
     return mx, my, np.sqrt(mx ** 2 + my ** 2)
 
 

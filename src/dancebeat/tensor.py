@@ -264,16 +264,48 @@ def weighted_scatter(w, index, values, dense, width: int) -> Tensor:
     return _emit(out, (w,), bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = as_tensor(a)
-    sa = a.slot
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head self-attention of (n, hidden) queries, keys and values: head
+    h's columns of the output are softmax(q_h k_hᵀ / sqrt(dh)) v_h. Scaling
+    q, not the scores, is exact when 1/sqrt(dh) is a power of two. The
+    scores are exponentiated in place into e and the (n, dh) products e v_h,
+    not e, are divided by the row sums l, so the forward makes one
+    (heads, n, n) array, e, and backward one more, built in place."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    sq, sk, sv = q.slot, k.slot, v.slot
+    n, hidden = q.shape
+    dh = hidden // heads
+    scale = 1.0 / math.sqrt(dh)
+    split = lambda y: y.reshape(n, heads, dh).swapaxes(0, 1)  # (heads, n, dh) views
+    merge = lambda y: y.swapaxes(0, 1).reshape(n, hidden)
+    q4, k4, v4 = split(q.data * scale), split(k.data), split(v.data)
+    e = q4 @ k4.swapaxes(1, 2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    l = e.sum(axis=-1, keepdims=True)
+    out = e @ v4
+    out /= l
+    # each gradient reads what its formula needs: dq reads k, dk reads q
+    q4 = q4 if sk.requires_grad else None
+    k4 = k4 if sq.requires_grad else None
 
     def bwd(g):
-        sa._accum(g.transpose(np.argsort(axes)))
+        g4 = split(g)
+        if sv.requires_grad:
+            sv._accum(merge(e.swapaxes(1, 2) @ (g4 / l)))
+        if sq.requires_grad or sk.requires_grad:
+            ds = g4 @ v4.swapaxes(1, 2)  # d(e/l) = g vᵀ
+            delta = np.einsum("hij,hij->hi", ds, e)[:, :, None]
+            delta /= l
+            ds -= delta
+            ds *= e
+            ds /= l
+            if sq.requires_grad:
+                sq._accum(merge((ds @ k4) * scale))
+            if sk.requires_grad:
+                sk._accum(merge(ds.swapaxes(1, 2) @ q4))
 
-    return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
+    return _emit(merge(out), (q, k, v), bwd)
 
 
 def reshape(a, shape) -> Tensor:

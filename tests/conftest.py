@@ -169,11 +169,23 @@ def layer_norm_oracle(a, eps: float = 1e-5) -> Tensor:
     return _emit(xhat, (a,), bwd)
 
 
+def transpose(a, axes=None) -> Tensor:
+    """Permute a tensor's axes, reversed by default."""
+    a = tz.as_tensor(a)
+    if axes is None:
+        axes = tuple(reversed(range(a.ndim)))
+
+    def bwd(g):
+        a._accum(g.transpose(np.argsort(axes)))
+
+    return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
+
+
 def attention_pool_loop(seg: Tensor, q: Tensor) -> Tensor:
     """Pool an (n, D) segment with a (D,) query into a (1, D) row."""
     n, dim = seg.shape
     scores = tz.mul(tz.matmul(seg, tz.reshape(q, (dim, 1))), 1.0 / math.sqrt(dim))
-    return tz.matmul(tz.transpose(tz.softmax(scores, axis=0)), seg)
+    return tz.matmul(transpose(tz.softmax(scores, axis=0)), seg)
 
 
 def align_loop(r: Tensor, queries: Tensor) -> Tensor:
@@ -206,14 +218,14 @@ def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
     outs = []
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        scores = tz.mul(tz.matmul(q[:, sl], tz.transpose(k[:, sl])), 1.0 / math.sqrt(dh))
+        scores = tz.mul(tz.matmul(q[:, sl], transpose(k[:, sl])), 1.0 / math.sqrt(dh))
         outs.append(tz.matmul(tz.softmax(scores, axis=1), v[:, sl]))
     return tz.linear(tz.concat(outs, axis=1), blk.wo, blk.bo)
 
 
 # ---------------------------------------------------------------------------
 # the two-node biased linear and the attention that scales its scores
-# (oracles for the one-node tz.linear and the query-scaled attention)
+# (oracles for the one-node tz.linear and tz.attention)
 
 
 def linear_oracle(x, w, b) -> Tensor:
@@ -228,13 +240,13 @@ def self_attention_scaled_scores(x: Tensor, blk, heads: int) -> Tensor:
     dh = hidden // heads
 
     def split(y, axes):
-        return tz.transpose(tz.reshape(y, (n, heads, dh)), axes)
+        return transpose(tz.reshape(y, (n, heads, dh)), axes)
 
     q = split(linear_oracle(x, blk.wq, blk.bq), (1, 0, 2))
     kt = split(tz.matmul(x, blk.wk), (1, 2, 0))
     v = split(linear_oracle(x, blk.wv, blk.bv), (1, 0, 2))
     scores = tz.mul(tz.matmul(q, kt), 1.0 / math.sqrt(dh))
-    out = tz.transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))
+    out = transpose(tz.matmul(tz.softmax(scores, axis=-1), v), (1, 0, 2))
     return linear_oracle(tz.reshape(out, (n, hidden)), blk.wo, blk.bo)
 
 

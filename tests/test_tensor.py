@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import conv1d_same, finite_difference, linear_oracle, relerr
+from conftest import conv1d_same, finite_difference, linear_oracle, relerr, transpose
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -120,6 +121,92 @@ class TestSoftmax:
         x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         c = rng.standard_normal((4, 5))
         check_grad(lambda: tz.tsum(tz.mul(tz.softmax(x, axis=1), c)), [x])
+
+
+def attention_reference(q, k, v, heads: int) -> np.ndarray:
+    """Each head's softmax(q_h k_hᵀ / sqrt(dh)) v_h in numpy, heads side by side."""
+    n, hidden = q.shape
+    dh = hidden // heads
+    outs = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        s = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        outs.append(p / p.sum(axis=1, keepdims=True) @ v[:, sl])
+    return np.concatenate(outs, axis=1)
+
+
+class TestAttention:
+    DH = 3  # 1/sqrt(3) is inexact, so scaling q rounds differently from scaling scores
+
+    def qkv(self, rng, heads, n):
+        return [Tensor(rng.standard_normal((n, heads * self.DH)), requires_grad=True)
+                for _ in range(3)]
+
+    def loss_grads(self, q, k, v, heads, c):
+        with Tape():
+            y = tz.attention(q, k, v, heads)
+            backward(tz.tsum(tz.mul(y, c)))
+        return y.data, [t.grad for t in (q, k, v)]
+
+    @pytest.mark.parametrize("n", [1, 2, 61])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_grad_vs_fd(self, rng, heads, n):
+        q, k, v = self.qkv(rng, heads, n)
+        c = rng.standard_normal((n, heads * self.DH))
+        y = tz.attention(q, k, v, heads).data
+        assert relerr(y, attention_reference(q.data, k.data, v.data, heads)) < 1e-14
+        check_grad(lambda: tz.tsum(tz.mul(tz.attention(q, k, v, heads), c)), [q, k, v])
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_one_token_gives_q_and_k_exactly_zero_gradient(self, rng, heads):
+        # the lone score's softmax is 1 whatever q and k are
+        q, k, v = self.qkv(rng, heads, 1)
+        c = rng.standard_normal((1, heads * self.DH))
+        y, (gq, gk, gv) = self.loss_grads(q, k, v, heads, c)
+        assert np.array_equal(y, v.data) and np.array_equal(gv, c)
+        assert not gq.any() and not gk.any()
+
+    def test_saturated_rows_stay_finite(self, rng):
+        heads, n = 4, 61
+        q, k, v = self.qkv(rng, heads, n)
+        q.data *= 1e3  # scores of order 1e3: each row's softmax is all but one-hot
+        c = rng.standard_normal((n, heads * self.DH))
+        y, grads = self.loss_grads(q, k, v, heads, c)
+        assert relerr(y, attention_reference(q.data, k.data, v.data, heads)) < 1e-12
+        assert all(np.isfinite(a).all() for a in (y, *grads))
+
+    @pytest.mark.parametrize("grads", [(True, False, False), (False, True, False),
+                                       (False, False, True), (True, True, False),
+                                       (False, True, True), (False, False, False)])
+    def test_only_the_inputs_that_want_a_gradient_get_one(self, grads):
+        heads, n = 2, 7
+        rng = np.random.default_rng(5)
+        full = self.qkv(rng, heads, n)
+        c = rng.standard_normal((n, heads * self.DH))
+        _, want = self.loss_grads(*full, heads, c)
+        some = [Tensor(t.data, requires_grad=r) for t, r in zip(full, grads)]
+        _, got = self.loss_grads(*some, heads, c)
+        for g, w, r in zip(got, want, grads):
+            assert (g is None) if not r else g.tobytes() == w.tobytes()
+
+    def test_backward_holds_at_most_two_score_arrays(self, rng):
+        heads, n = 4, 96
+        q, k, v = self.qkv(rng, heads, n)
+        c = rng.standard_normal((n, heads * self.DH))
+        scores = heads * n * n * 8
+        tracemalloc.start()
+        try:
+            with Tape():
+                loss = tz.tsum(tz.mul(tz.attention(q, k, v, heads), c))
+                tracemalloc.reset_peak()
+                backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the node's exponentiated scores and one working array; every other
+        # buffer is (n, heads * dh), so a third (heads, n, n) array would pass 3x
+        assert scores < peak < 3 * scores
 
 
 class TestWeightedScatter:
@@ -310,7 +397,7 @@ class TestMiscOps:
     def test_transpose_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         c = rng.standard_normal((5, 3))
-        check_grad(lambda: tz.tsum(tz.mul(tz.transpose(x), c)), [x])
+        check_grad(lambda: tz.tsum(tz.mul(transpose(x), c)), [x])
 
     def test_finite_forward(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 100)
