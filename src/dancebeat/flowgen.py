@@ -90,10 +90,6 @@ class VelocityFieldParams:
                 ("out_g", (h,), "ones"), z("out_b"), w("head_w", h, ld), z("head_b", ld)]
 
 
-def _ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return tz.add(tz.mul(tz.layer_norm(x), g), b)
-
-
 def _self_attention(x: Tensor, blk: TransformerBlock, heads: int) -> Tensor:
     q = tz.linear(x, blk.wq, blk.bq)
     k = tz.linear(x, blk.wk)
@@ -134,12 +130,12 @@ def _transformer(params: VelocityFieldParams, tt: Tensor, ct: Tensor, lat: Tenso
                  rt: Tensor) -> Tensor:
     x = tz.concat([tt, ct, tz.add(lat, rt)], axis=0)
     for blk in params.layers:
-        x = tz.add(x, _self_attention(_ln(x, blk.ln1_g, blk.ln1_b), blk, params.heads))
-        h = tz.linear(tz.relu(tz.linear(_ln(x, blk.ln2_g, blk.ln2_b), blk.f1, blk.fb1)),
+        x = tz.add(x, _self_attention(tz.layer_norm(x, blk.ln1_g, blk.ln1_b), blk, params.heads))
+        h = tz.linear(tz.relu(tz.linear(tz.layer_norm(x, blk.ln2_g, blk.ln2_b), blk.f1, blk.fb1)),
                       blk.f2, blk.fb2)
         x = tz.add(x, h)
     n, T_m = x.shape[0], lat.shape[0]
-    out = _ln(x[n - T_m:n, :], params.out_g, params.out_b)
+    out = tz.layer_norm(x[n - T_m:n, :], params.out_g, params.out_b)
     return tz.linear(out, params.head_w, params.head_b)
 
 
@@ -240,8 +236,7 @@ def cfm_loss(model: TrainedModel, z1: np.ndarray, z0: np.ndarray, t: float,
         raise ConfigError(f"latent shapes differ: {z1.shape} vs {z0.shape}")
     z_t = (1.0 - t) * z0 + t * z1
     v = velocity(model.vf, z_t, t, rhythm_cond, cond)
-    diff = tz.sub(v, z1 - z0)
-    return tz.tmean(tz.mul(diff, diff))
+    return tz.mse(v, z1 - z0)
 
 
 class Adam:

@@ -19,8 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .errors import ConfigError
-from .pose import (MotionField, PoseSequence, local_minima, motion_diff, read_matrix,
-                   write_matrix)
+from .pose import PoseSequence, local_minima, motion_diff, read_matrix, write_matrix
 from .tensor import Tensor
 
 
@@ -141,22 +140,6 @@ def _conv_cols(signal_2d: np.ndarray, bank: WaveletBank) -> np.ndarray:
     return out
 
 
-def wavelet_features(m: MotionField, bank: WaveletBank) -> np.ndarray:
-    """Per-joint, per-scale wavelet responses of the motion magnitude."""
-    return _conv_cols(m.magnitude, bank)
-
-
-def scale_components(m: MotionField, bank: WaveletBank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Filtered x/y displacement per scale plus the per-scale magnitude."""
-    if m.diffs.shape[2] < 2:
-        raise ConfigError("phase analysis needs x and y coordinates (C >= 2)")
-    J = m.diffs.shape[1]
-    # one filtering pass over the (T-1, 2J) stack: x in columns :J, y after
-    mxy = _conv_cols(np.concatenate([m.diffs[:, :, 0], m.diffs[:, :, 1]], axis=1), bank)
-    mx, my = mxy[:, :J], mxy[:, J:]
-    return mx, my, np.sqrt(mx ** 2 + my ** 2)
-
-
 def phase_bins(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
     """Index of the right-open phase bin on [-pi, pi) holding atan2(my, mx)."""
     theta = np.arctan2(my, mx)
@@ -178,9 +161,13 @@ def fusion_column(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
 
 def clip_features(p: PoseSequence, bank: WaveletBank, bins: int) -> ClipRhythmFeatures:
     m = motion_diff(p)
-    w = wavelet_features(m, bank)
-    mx, my, mag_s = scale_components(m, bank)
-    return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=w, mx=mx, my=my, mag_s=mag_s,
+    J = m.magnitude.shape[1]
+    # one filtering pass over the (T-1, 3J) stack: magnitude, then x, then y
+    f = _conv_cols(np.concatenate([m.magnitude, m.diffs[:, :, 0], m.diffs[:, :, 1]], axis=1),
+                   bank)
+    mx, my = f[:, J:2 * J], f[:, 2 * J:]
+    return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=f[:, :J], mx=mx, my=my,
+                              mag_s=np.sqrt(mx ** 2 + my ** 2),
                               column=fusion_column(mx, my, bins), bins=bins)
 
 
@@ -228,7 +215,7 @@ def extract_rhythm(p: PoseSequence, bank: WaveletBank, params: RhythmParams) -> 
 def scale_energy(p: PoseSequence, bank: WaveletBank) -> np.ndarray:
     """Frame-averaged wavelet energy per scale; argmax marks the dominant
     oscillation period of the clip."""
-    w = wavelet_features(motion_diff(p), bank)
+    w = _conv_cols(motion_diff(p).magnitude, bank)
     return (w ** 2).mean(axis=(0, 1))
 
 

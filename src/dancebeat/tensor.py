@@ -159,18 +159,6 @@ def add(a, b) -> Tensor:
     return _emit(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    sa, sb = a.slot, b.slot
-
-    def bwd(g):
-        sa._accum(g)
-        if sb.requires_grad:
-            sb._accum(-g)
-
-    return _emit(a.data - b.data, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.slot, b.slot
@@ -330,6 +318,19 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
+def _repeats(key, shape: tuple[int, ...]) -> bool:
+    """Whether indexing an array of `shape` by `key` selects some position
+    more than once, which only an integer-array index can do."""
+    keys = key if isinstance(key, tuple) else (key,)
+    kinds = {np.asarray(k).dtype.kind for k in keys if np.ndim(k)}
+    if not kinds & {"i", "u"}:
+        return False
+    # number the positions of the key's first len(keys) axes, or of all axes
+    # where an Ellipsis or a mask moves the axes the key indexes
+    lead = shape if "b" in kinds or any(k is Ellipsis for k in keys) else shape[:len(keys)]
+    return np.bincount(np.arange(math.prod(lead)).reshape(lead)[key].ravel()).max(initial=0) > 1
+
+
 def tslice(a, key) -> Tensor:
     a = as_tensor(a)
     sa = a.slot
@@ -337,7 +338,10 @@ def tslice(a, key) -> Tensor:
     def bwd(g):
         if sa.requires_grad:
             buf = np.zeros(sa.shape)
-            buf[key] = g
+            if _repeats(key, sa.shape):
+                np.add.at(buf, key, g)  # a repeated position sums its gradients
+            else:
+                buf[key] = g
             sa._accum(buf)
 
     return _emit(a.data[key].copy(), (a,), bwd)
@@ -355,17 +359,17 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mse(a, target) -> Tensor:
+    """Mean of the squared differences between `a` and a constant `target`;
+    gradient flows to `a` only."""
     a = as_tensor(a)
-    sa = a.slot
-    n = a.data.size if axis is None else a.data.shape[axis]
+    sa, diff = a.slot, a.data - target
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        sa._accum(np.broadcast_to(g, sa.shape) / n)
+        g = np.broadcast_to(g, sa.shape) / diff.size
+        sa._accum(g * diff + g * diff)
 
-    return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _emit((diff * diff).mean(), (a,), bwd)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -382,20 +386,25 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _emit(y, (a,), bwd)
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
-    """Normalize along the last axis to zero mean / unit variance."""
-    a = as_tensor(a)
-    sa, n = a.slot, a.data.shape[-1]
+def layer_norm(a, g, b, eps: float = 1e-5) -> Tensor:
+    """Normalize along the last axis to zero mean / unit variance, then scale
+    by the gain `g` and shift by the bias `b`: xhat * g + b."""
+    a, g, b = as_tensor(a), as_tensor(g), as_tensor(b)
+    sa, sg, sb, gd, n = a.slot, g.slot, b.slot, g.data, a.data.shape[-1]
     xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
     xhat *= inv
 
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        sa._accum((g - gm - xhat * gx) * inv)
+    def bwd(dy):
+        sb._accum(dy)
+        if sg.requires_grad:
+            sg._accum(dy * xhat)
+        dx = dy * gd
+        gm = dx.mean(axis=-1, keepdims=True)
+        gx = (dx * xhat).mean(axis=-1, keepdims=True)
+        sa._accum((dx - gm - xhat * gx) * inv)
 
-    return _emit(xhat, (a,), bwd)
+    return _emit(xhat * gd + b.data, (a, g, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
 # ---------------------------------------------------------------------------
 # the unbatched forms of the batched layers: one op per column, bin, segment
 # or head, the dense-column form of the fusion scatter, and the multi-pass
-# forms of the one-pass kernels (oracles for tests/test_batched.py)
+# and multi-node forms of the one-pass kernels (oracles for tests/test_batched.py)
 
 
 def conv1d_same(signal, kernel) -> Tensor:
@@ -153,20 +153,50 @@ def softmax_oracle(a, axis: int = -1) -> Tensor:
     return _emit(y, (a,), bwd)
 
 
-def layer_norm_oracle(a, eps: float = 1e-5) -> Tensor:
-    """tensor.layer_norm with numpy's own mean and var."""
+def layer_norm_oracle(a, g, b, eps: float = 1e-5) -> Tensor:
+    """tensor.layer_norm as a normalization node with numpy's own mean and
+    var, then a mul node by the gain and an add node of the bias."""
     a = tz.as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
 
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        a._accum((g - gm - xhat * gx) * inv)
+    def bwd(dy):
+        gm = dy.mean(axis=-1, keepdims=True)
+        gx = (dy * xhat).mean(axis=-1, keepdims=True)
+        a._accum((dy - gm - xhat * gx) * inv)
 
-    return _emit(xhat, (a,), bwd)
+    return tz.add(tz.mul(_emit(xhat, (a,), bwd), g), b)
+
+
+def mse_chain(a, target) -> Tensor:
+    """tensor.mse as a sub node, a mul node and a mean node."""
+    diff = sub(a, target)
+    return tmean(tz.mul(diff, diff))
+
+
+def sub(a, b) -> Tensor:
+    a, b = tz.as_tensor(a), tz.as_tensor(b)
+
+    def bwd(g):
+        a._accum(g)
+        if b.requires_grad:
+            b._accum(-g)
+
+    return _emit(a.data - b.data, (a, b), bwd)
+
+
+def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = tz.as_tensor(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, a.shape) / n)
+
+    return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -196,7 +226,7 @@ def align_loop(r: Tensor, queries: Tensor) -> Tensor:
 
 
 def mean_pool_loop(r: Tensor, latent_len: int) -> Tensor:
-    return tz.concat([tz.tmean(r[a:b, :], axis=0, keepdims=True)
+    return tz.concat([tmean(r[a:b, :], axis=0, keepdims=True)
                       for a, b in segment_spans(r.shape[0], latent_len)], axis=0)
 
 

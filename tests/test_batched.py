@@ -1,7 +1,7 @@
 """The batched alignment, histogram, attention and wavelet paths agree with
 their one-op-per-segment/bin/head/column forms in tests/conftest.py, the
-one-pass softmax and layer_norm with their multi-pass forms there, and the
-one-expression frame scans with their per-frame loops."""
+one-pass softmax, layer_norm and mse with their multi-pass and multi-node
+forms there, and the one-expression frame scans with their per-frame loops."""
 import re
 import tracemalloc
 
@@ -19,8 +19,8 @@ from dancebeat.tensor import Tape, Tensor, backward
 from conftest import (align_loop, attention_pool_loop, binary_rhythm_loop, conv_cols_loop,
                       finite_difference, fusion_features_loop, fusion_features_matmul,
                       latent_peaks_loop, layer_norm_oracle, local_minima_loop,
-                      map_to_latent_loop, mean_pool_loop, mean_pool_weighted, relerr,
-                      self_attention_loop, self_attention_scaled_scores, softmax_oracle)
+                      map_to_latent_loop, mean_pool_loop, mean_pool_weighted, mse_chain,
+                      relerr, self_attention_loop, self_attention_scaled_scores, softmax_oracle)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -218,24 +218,36 @@ class TestOnePassKernels:
     """Forward values and input gradients are bit-identical to the oracles."""
 
     @staticmethod
-    def assert_identical(kernel, oracle, x, c):
-        leaf = Tensor(x, requires_grad=True)
-        got, (got_g,) = value_and_grads(lambda: kernel(leaf), [leaf], c)
-        want, (want_g,) = value_and_grads(lambda: oracle(leaf), [leaf], c)
+    def assert_identical(kernel, oracle, leaves, c):
+        got, got_g = value_and_grads(lambda: kernel(*leaves), leaves, c)
+        want, want_g = value_and_grads(lambda: oracle(*leaves), leaves, c)
         assert np.array_equal(got, want)
-        assert np.array_equal(got_g, want_g)
+        for g, w in zip(got_g, want_g):
+            assert np.array_equal(g, w)
 
-    @given(kernel_inputs())
+    @given(kernel_inputs(), st.integers(0, 2 ** 32 - 1))
     @PROPERTY
-    def test_layer_norm_matches_mean_var_oracle(self, xc):
-        self.assert_identical(tz.layer_norm, layer_norm_oracle, *xc)
+    def test_layer_norm_matches_mean_var_oracle(self, xc, seed):
+        x, c = xc
+        gain, bias = np.random.default_rng(seed).standard_normal((2, x.shape[-1]))
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gain, bias)]
+        self.assert_identical(tz.layer_norm, layer_norm_oracle, leaves, c)
 
     @given(kernel_inputs(), st.integers(0, 2))
     @PROPERTY
     def test_softmax_matches_out_of_place_oracle(self, xc, axis):
-        axis = min(axis, xc[0].ndim - 1)
+        x, c = xc
+        axis = min(axis, x.ndim - 1)
         self.assert_identical(lambda t: tz.softmax(t, axis=axis),
-                              lambda t: softmax_oracle(t, axis=axis), *xc)
+                              lambda t: softmax_oracle(t, axis=axis),
+                              [Tensor(x, requires_grad=True)], c)
+
+    @given(kernel_inputs())
+    @PROPERTY
+    def test_mse_matches_sub_mul_mean_chain(self, xc):
+        x, target = xc
+        self.assert_identical(lambda t: tz.mse(t, target), lambda t: mse_chain(t, target),
+                              [Tensor(x, requires_grad=True)], 0.25)
 
 
 @st.composite
@@ -265,12 +277,13 @@ class TestRhythmColumns:
 
     @given(poses(), st.integers(1, 4))
     @PROPERTY
-    def test_xy_stack_filters_each_signal_as_alone(self, p, scales):
+    def test_stack_filters_magnitude_x_and_y_each_as_alone(self, p, scales):
         bank = rhythm.build_wavelet_bank(scales, 2.0)
         m = pose.motion_diff(p)
-        mx, my, _ = rhythm.scale_components(m, bank)
-        assert np.array_equal(mx, rhythm._conv_cols(m.diffs[:, :, 0], bank))
-        assert np.array_equal(my, rhythm._conv_cols(m.diffs[:, :, 1], bank))
+        feats = rhythm.clip_features(p, bank, 4)
+        assert np.array_equal(feats.wavelet, rhythm._conv_cols(m.magnitude, bank))
+        assert np.array_equal(feats.mx, rhythm._conv_cols(m.diffs[:, :, 0], bank))
+        assert np.array_equal(feats.my, rhythm._conv_cols(m.diffs[:, :, 1], bank))
 
     @given(poses(), st.integers(1, 3), st.integers(2, 8))
     @PROPERTY
@@ -365,8 +378,8 @@ def clip_step_nodes(latent_len: int) -> int:
         return len(tape)
 
 
-def test_desk_clip_step_records_75_nodes():
-    assert clip_step_nodes(RunConfig().latent_len) == 75
+def test_desk_clip_step_records_63_nodes():
+    assert clip_step_nodes(RunConfig().latent_len) == 63
 
 
 def test_clip_step_tape_is_small_and_independent_of_latent_len():

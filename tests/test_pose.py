@@ -7,6 +7,13 @@ from dancebeat.errors import ConfigError, ParseError
 from conftest import relerr
 
 
+class TestPoseSequence:
+    @pytest.mark.parametrize("coords", [1, 4])
+    def test_coords_other_than_2_or_3_rejected(self, coords):
+        with pytest.raises(ConfigError, match=f"C={coords}"):
+            pose.PoseSequence(data=np.zeros((4, 2, coords)), fps=30)
+
+
 class TestMotionDiff:
     def test_constant_pose(self):
         p = pose.PoseSequence(data=np.ones((5, 3, 2)), fps=30)

@@ -47,19 +47,21 @@ class TestWaveletBank:
 
 
 class TestWaveletFeatures:
+    """clip_features's wavelet responses of the motion magnitude."""
+
     def test_zero_motion(self):
         p = PoseSequence(data=np.ones((6, 2, 2)), fps=30)
-        w = rhythm.wavelet_features(motion_diff(p), rhythm.build_wavelet_bank(2, 2))
+        w = rhythm.clip_features(p, rhythm.build_wavelet_bank(2, 2), 4).wavelet
         assert np.array_equal(w, np.zeros_like(w))
 
     def test_impulse_reproduces_kernel(self):
         bank = rhythm.build_wavelet_bank(1, 4)
         L = len(bank.kernels[0])
         T = 4 * L
-        mag = np.zeros((T, 1))
-        mag[2 * L, 0] = 1.0
-        m = type("M", (), {"magnitude": mag, "diffs": None})()
-        w = rhythm.wavelet_features(m, bank)
+        # one unit step in x between frames 2L and 2L + 1: a unit magnitude impulse at 2L
+        data = np.zeros((T + 1, 1, 2))
+        data[2 * L + 1:, 0, 0] = 1.0
+        w = rhythm.clip_features(PoseSequence(data=data, fps=30), bank, 4).wavelet
         lo = 2 * L - L // 2
         assert relerr(w[lo:lo + L, 0, 0], bank.kernels[0][::-1]) < 1e-12
 
@@ -68,38 +70,32 @@ class TestWaveletFeatures:
         p = PoseSequence(data=rng.uniform(0, 1, (8, 3, 2)), fps=30)
         perm = [2, 0, 1]
         q = PoseSequence(data=p.data[:, perm, :], fps=30)
-        w_p = rhythm.wavelet_features(motion_diff(p), bank)
-        w_q = rhythm.wavelet_features(motion_diff(q), bank)
+        w_p = rhythm.clip_features(p, bank, 4).wavelet
+        w_q = rhythm.clip_features(q, bank, 4).wavelet
         assert np.array_equal(w_q, w_p[:, perm, :])
 
 
 class TestScaleComponents:
+    """clip_features's filtered x and y displacements and their magnitude."""
+
     def test_pure_x_motion(self, rng):
         data = np.zeros((10, 1, 2))
         data[:, 0, 0] = np.linspace(0, 1, 10) ** 2
         bank = rhythm.build_wavelet_bank(2, 2)
-        mx, my, mag = rhythm.scale_components(motion_diff(PoseSequence(data=data, fps=30)), bank)
-        assert np.abs(my).max() < 1e-15
-        assert relerr(mag, np.abs(mx)) < 1e-12
+        feats = rhythm.clip_features(PoseSequence(data=data, fps=30), bank, 4)
+        assert np.abs(feats.my).max() < 1e-15
+        assert relerr(feats.mag_s, np.abs(feats.mx)) < 1e-12
 
     def test_brute_force_match(self, rng):
         bank = rhythm.build_wavelet_bank(1, 2)
         k = bank.kernels[0]
-        data = rng.uniform(0, 1, (6, 1, 2))
-        m = motion_diff(PoseSequence(data=data, fps=30))
-        mx, _, _ = rhythm.scale_components(m, bank)
-        sig = m.diffs[:, 0, 0]
+        p = PoseSequence(data=rng.uniform(0, 1, (6, 1, 2)), fps=30)
+        mx = rhythm.clip_features(p, bank, 4).mx
+        sig = motion_diff(p).diffs[:, 0, 0]
         idx = tz.reflect_indices(5, len(k) // 2)
         padded = sig[idx]
         brute = np.array([sum(padded[t + l] * k[l] for l in range(len(k))) for t in range(5)])
         assert relerr(mx[:, 0, 0], brute) < 1e-12
-
-    def test_1d_pose_rejected(self):
-        bank = rhythm.build_wavelet_bank(1, 2)
-        m = motion_diff(PoseSequence(data=np.random.rand(4, 2, 2), fps=30))
-        m.diffs = m.diffs[:, :, :1]
-        with pytest.raises(ConfigError):
-            rhythm.scale_components(m, bank)
 
 
 class TestJointWeights:

@@ -10,7 +10,8 @@ from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import conv1d_same, finite_difference, linear_oracle, relerr, transpose
+from conftest import (conv1d_same, finite_difference, linear_oracle, relerr, sub, tmean,
+                      transpose)
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -367,7 +368,7 @@ class TestMiscOps:
         x = Tensor(rng.standard_normal((3, 4)) + 2.0, requires_grad=True)
         y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
-        check_grad(lambda: tz.tsum(tz.mul(tz.sub(tz.add(x, y), tz.mul(x, y)), c)), [x, y])
+        check_grad(lambda: tz.tsum(tz.mul(sub(tz.add(x, y), tz.mul(x, y)), c)), [x, y])
         check_grad(lambda: tz.tsum(tz.mul(tz.sigmoid(x), c)), [x])
         check_grad(lambda: tz.tsum(tz.mul(tz.relu(y), c)), [y], tol=1e-5)
 
@@ -390,9 +391,16 @@ class TestMiscOps:
 
     def test_mean_layernorm_grads(self, rng):
         x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        g = Tensor(rng.standard_normal(6), requires_grad=True)
+        b = Tensor(rng.standard_normal(6), requires_grad=True)
         c = rng.standard_normal((3, 6))
-        check_grad(lambda: tz.tsum(tz.mul(tz.layer_norm(x), c)), [x], tol=1e-5)
-        check_grad(lambda: tz.tsum(tz.mul(tz.tmean(x, axis=1, keepdims=True), c[:, :1])), [x])
+        check_grad(lambda: tz.tsum(tz.mul(tz.layer_norm(x, g, b), c)), [x, g, b], tol=1e-5)
+        check_grad(lambda: tz.tsum(tz.mul(tmean(x, axis=1, keepdims=True), c[:, :1])), [x])
+
+    def test_mse_grad(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        target = rng.standard_normal((3, 4))
+        check_grad(lambda: tz.mse(x, target), [x])
 
     def test_transpose_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
@@ -401,8 +409,35 @@ class TestMiscOps:
 
     def test_finite_forward(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 100)
-        for op in (tz.sigmoid, tz.relu, lambda t: tz.softmax(t, axis=1), tz.layer_norm):
+        for op in (tz.sigmoid, tz.relu, lambda t: tz.softmax(t, axis=1),
+                   lambda t: tz.layer_norm(t, np.ones(4), np.zeros(4))):
             assert np.isfinite(op(x).data).all()
+
+
+class TestRepeatedIndex:
+    """A position an integer-array key selects more than once gets the sum of
+    its gradients, negative indices counted after wrapping."""
+
+    @pytest.mark.parametrize("key, want", [(np.array([0, 0, 2]), [2, 0, 1]),
+                                           ([-1, 2], [0, 0, 2]),
+                                           ([2, -1, 0, -3], [2, 0, 2])])
+    def test_repeated_rows_add(self, key, want):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with Tape():
+            backward(tz.tsum(x[key]))
+        assert x.grad.tolist() == want
+
+    def test_2d_key_adds_per_row(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        with Tape():
+            backward(tz.tsum(x[np.array([[0, 1], [1, 2]])]))
+        assert x.grad.tolist() == [[1, 1], [2, 2], [1, 1]]
+
+    def test_repeated_key_grad(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        key = np.array([[0, 2], [2, -1]])
+        c = rng.standard_normal((2, 2, 4))
+        check_grad(lambda: tz.tsum(tz.mul(x[key], c)), [x])
 
 
 class TestTapeLifetime:
