@@ -56,17 +56,20 @@ def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
 
 def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, n) frame indices of each segment, n the longest segment, and
-    the mask of the slots that hold one; the other slots index frame `total`."""
+    the mask of the slots that hold one; the k-th other slot indexes frame
+    `total + k`, so no index repeats."""
     spans = np.array(segment_spans(total, count))
     slots = spans[:, :1] + np.arange((spans[:, 1] - spans[:, 0]).max())
     inside = slots < spans[:, 1:]
-    return np.where(inside, slots, total), inside
+    slots[~inside] = total + np.arange(np.count_nonzero(~inside))
+    return slots, inside
 
 
 def _pool(r: Tensor, queries: Tensor, slots: np.ndarray, inside: np.ndarray) -> Tensor:
     """Row i: the frames of segment i weighted by the softmax of their scaled
     dot products with query i, the slots outside the segment masked to -inf."""
-    rows = tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]  # slot T reads zeros
+    pad = np.zeros((np.count_nonzero(~inside), r.shape[1]))
+    rows = tz.concat([r, pad], axis=0)[slots]  # each slot past T reads its own zero row
     count, n, dim = rows.shape
     scores = tz.tsum(tz.mul(rows, tz.reshape(queries, (count, 1, dim))), axis=2)
     scores = tz.add(tz.mul(scores, 1.0 / math.sqrt(dim)), np.where(inside, 0.0, -np.inf))

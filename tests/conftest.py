@@ -234,7 +234,7 @@ def mean_pool_weighted(r: Tensor, latent_len: int) -> Tensor:
     """Segment means as one weighted sum of gathered slots, each weight 1/n."""
     slots, inside = segment_slots(r.shape[0], latent_len)
     weights = inside / inside.sum(axis=1, keepdims=True)
-    rows = tz.concat([r, np.zeros((1, r.shape[1]))], axis=0)[slots]
+    rows = tz.concat([r, np.zeros((np.count_nonzero(~inside), r.shape[1]))], axis=0)[slots]
     return tz.tsum(tz.mul(rows, weights[:, :, None]), axis=1)
 
 

@@ -114,8 +114,25 @@ class TestAlignment:
 
     def test_segment_slots_partition_the_frames(self):
         slots, inside = align.segment_slots(10, 3)
-        assert slots.tolist() == [[0, 1, 2, 3], [4, 5, 6, 10], [7, 8, 9, 10]]
+        assert slots.tolist() == [[0, 1, 2, 3], [4, 5, 6, 10], [7, 8, 9, 11]]
         assert inside.tolist() == [[True] * 4, [True] * 3 + [False], [True] * 3 + [False]]
+
+    @pytest.mark.parametrize("T, count", [(7, 3), (10, 3), (147, 50), (150, 50), (599, 200)])
+    def test_band_key_never_repeats(self, rng, monkeypatch, T, count):
+        """Every padding slot reads its own zero row, so the band's backward
+        takes the assignment path even when the split is uneven."""
+        seen, repeats = [], tz._repeats
+
+        def recorded(key, shape):
+            seen.append(repeats(key, shape))
+            return seen[-1]
+
+        monkeypatch.setattr(tz, "_repeats", recorded)
+        r = Tensor(rng.standard_normal((T, 3)), requires_grad=True)
+        q = align.ContextQueries(Tensor(rng.standard_normal((count, 3)), requires_grad=True))
+        with Tape():
+            backward(tz.tsum(align.align_tensor(r, q)))
+        assert seen == [False]
 
     def test_masked_softmax_gradients_vs_fd(self, rng):
         r = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
