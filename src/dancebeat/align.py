@@ -46,12 +46,8 @@ def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
     if not 1 <= count <= total:
         raise ConfigError(f"cannot split {total} frames into {count} segments")
     base, extra = divmod(total, count)
-    spans, start = [], 0
-    for i in range(count):
-        end = start + base + (1 if i < extra else 0)
-        spans.append((start, end))
-        start = end
-    return spans
+    ends = [base * (i + 1) + min(i + 1, extra) for i in range(count)]
+    return list(zip([0] + ends[:-1], ends))
 
 
 def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:

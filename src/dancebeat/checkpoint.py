@@ -9,10 +9,10 @@ Manifest lines, in this order:
 Config values are parsed by the config file's typed parser, never
 evaluated; the tensor lines are `flowgen.layout(config)`'s. Loading checks
 the blob file's size against the recorded length, that length against the
-config and every tensor line against the layout before it reads the blob
-and checks its digest. The blob is `TrainedModel.flat`, each tensor's
-values contiguously in manifest order, and the loaded model wraps a copy of
-it, so a round trip is bit-exact.
+config and every tensor line against the layout before it reads the blob,
+checks its digest, then that it is finite, as saving does. The blob is
+`TrainedModel.flat`, each tensor's values contiguously in manifest order,
+and the loaded model wraps a copy of it, so a round trip is bit-exact.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_value
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericalError, ParseError
 from .flowgen import TrainedModel, build_model, layout, parameter_count
 from .pose import read_lines
 
@@ -45,8 +45,17 @@ def _tensor_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
+def _finite(model: TrainedModel, fault) -> TrainedModel:
+    """`model`; raises `fault(message)` naming its first non-finite tensor by layout name."""
+    for name, t in model.tensors.items():
+        if not np.isfinite(t.data).all():
+            raise fault(f"tensor {name} holds a non-finite value")
+    return model
+
+
 def save_model(model: TrainedModel, path) -> None:
     path = Path(path)
+    _finite(model, lambda msg: NumericalError(f"{path}: {msg}, not written"))
     blob = model.flat.astype("<f8", copy=False).tobytes()
     lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
     lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
@@ -101,4 +110,5 @@ def load_model(path) -> TrainedModel:
         got = f.readinto(flat)
     if got != size or hashlib.sha256(flat).hexdigest() != blob_rec[2]:
         raise mismatch(got)
-    return build_model(cfg, flat.astype(np.float64, copy=False))
+    return _finite(build_model(cfg, flat.astype(np.float64, copy=False)),
+                   lambda msg: ParseError(msg, path=bin_path))

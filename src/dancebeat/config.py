@@ -105,14 +105,9 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_text(self, labeled: bool = False) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            line = f"{f.name} = {v!r}"
-            if labeled:
-                line += f"  # {'reference' if f.name in _REFERENCE else 'desk'} default"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+        label = lambda n: f"  # {'reference' if n in _REFERENCE else 'desk'} default"
+        return "".join(f"{f.name} = {getattr(self, f.name)!r}{label(f.name) if labeled else ''}\n"
+                       for f in fields(self))
 
 
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}

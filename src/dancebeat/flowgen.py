@@ -277,11 +277,12 @@ def _take_grads(tensors: list[Tensor]) -> np.ndarray:
     return g
 
 
-def _clip_global_norm(g: np.ndarray, max_norm: float) -> None:
-    """Scale the gradient vector `g` in place to norm `max_norm` if it is longer."""
+def _clip_global_norm(g: np.ndarray, max_norm: float) -> float:
+    """The norm of the gradient vector `g`; scales `g` to norm `max_norm` > 0 if longer."""
     total = math.sqrt(float(np.dot(g, g)))
     if total > max_norm > 0:
         g *= max_norm / total
+    return total
 
 
 # init_model draws the groups in this order, not in their `flat` order (vf,
@@ -334,7 +335,7 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
 
     Deterministic for a fixed config seed. Raises ConfigError when a clip's
     latent shape or conditioning width differs from the config, and
-    NumericalError when a batch loss goes non-finite.
+    NumericalError, before Adam steps, when a batch loss or gradient is not finite.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -378,8 +379,9 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
             g = _take_grads(trainable)
-            if cfg.grad_clip > 0:
-                _clip_global_norm(g, cfg.grad_clip)
+            if not math.isfinite(_clip_global_norm(g, cfg.grad_clip)):
+                raise NumericalError(
+                    f"non-finite gradient norm at epoch {epoch}, batch {b0 // cfg.batch_size}")
             opt.step(g)
             epoch_losses.append(batch_loss / len(batch))
         model.loss_history.append(float(np.mean(epoch_losses)))

@@ -123,10 +123,9 @@ def aggregate(scores: list[BeatScores]) -> ScoreAggregate:
     bcs = np.array([s.bcs for s in scores])
     bhs = np.array([s.bhs for s in scores])
     f1 = np.array([s.f1 for s in scores])
-    csd = float(bcs.std(ddof=1)) if len(scores) > 1 else 0.0
-    hsd = float(bhs.std(ddof=1)) if len(scores) > 1 else 0.0
+    sd = lambda x: float(x.std(ddof=1)) if len(scores) > 1 else 0.0  # sample deviation
     return ScoreAggregate(mean_bcs=float(bcs.mean()), mean_bhs=float(bhs.mean()),
-                          mean_f1=float(f1.mean()), csd=csd, hsd=hsd)
+                          mean_f1=float(f1.mean()), csd=sd(bcs), hsd=sd(bhs))
 
 
 def format_report(clip_ids: list[str], scores: list[BeatScores],

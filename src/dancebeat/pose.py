@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericalError, ParseError
 
 
 @dataclass
@@ -235,38 +235,32 @@ def read_lines(path) -> list[str]:
         raise ParseError("invalid UTF-8", line=raw.count(b"\n", 0, e.start) + 1, path=path)
 
 
-def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in row)
-
-
-def _parse_floats(text: str, n: int, line_no: int, what: str, path) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != n:
-        raise ParseError(f"{what}: expected {n} values, found {len(parts)}", line_no, path)
-    try:
-        vals = np.array([float(p) for p in parts])
-    except ValueError as e:
-        raise ParseError(f"{what}: {e}", line_no, path)
-    if not np.isfinite(vals).all():
-        raise ParseError(f"{what}: non-finite value", line_no, path)
-    return vals
+def _check_finite(rows: np.ndarray, fault) -> None:
+    """Raise `fault(k)` for the first row k of `rows` holding a non-finite value."""
+    ok = np.isfinite(rows).all(axis=1)
+    if not ok.all():
+        raise fault(int(ok.argmin()))
 
 
 def write_matrix(path, head: tuple, rows: np.ndarray) -> None:
     """Write `head` (ints as-is, floats via repr) on line 1, then one line of
-    exactly round-tripping decimals per row of the 2-D `rows`."""
+    exactly round-tripping decimals per row of the 2-D `rows`. A non-finite
+    value, which `read_matrix` refuses, is refused before the file is opened."""
+    _check_finite(rows, lambda k: NumericalError(f"{path}: row {k}: non-finite value, not written"))
     fields = (repr(float(v)) if isinstance(v, float) else str(v) for v in head)
-    lines = [" ".join(fields)] + [_fmt_row(r) for r in rows]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(" ".join(fields) + "\n")
+        for row in rows:
+            f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[list, np.ndarray]:
     """Parse a matrix file whose header holds the fields named in `header`,
     all positive integers except the last `floats`, which are finite floats.
 
-    Every row is parsed against the width before anything is sized from the
-    header. Returns (header values, (rows, width) array).
+    The array is sized from the file's rows once the first has the header's
+    width. Of the first faulty row, the count, then the values, then their
+    finiteness is reported. Returns (header values, (rows, width) array).
     """
     lines = read_lines(path)
     names = header.split()
@@ -282,12 +276,25 @@ def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[
         raise ParseError(f"bad header {lines[0]!r}: sizes must be positive, floats finite",
                          1, path)
     width = math.prod(values[1:n_int])
-    rows = [_parse_floats(text, width, ln, f"{what} {ln - 2}", path)
-            for ln, text in enumerate(lines[1:], start=2)]
-    if len(rows) != values[0]:
-        raise ParseError(f"expected {values[0]} {what}s, file has {len(rows)}",
+    nonfinite = lambda k: ParseError(f"{what} {k}: non-finite value", k + 2, path)
+    data = np.empty((0, 0))
+    for i, text in enumerate(lines[1:]):
+        parts = text.split()
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} values, found {len(parts)}")
+            row = list(map(float, parts))
+        except ValueError as e:
+            _check_finite(data[:i], nonfinite)
+            raise ParseError(f"{what} {i}: {e}", i + 2, path)
+        if i == 0:  # a row has the header's width, so the file's size bounds the array
+            data = np.empty((len(lines) - 1, width))
+        data[i] = row
+    _check_finite(data, nonfinite)
+    if len(data) != values[0]:
+        raise ParseError(f"expected {values[0]} {what}s, file has {len(data)}",
                          len(lines), path)
-    return values, np.array(rows)
+    return values, data
 
 
 def save_pose_sequence(p: PoseSequence, path) -> None:

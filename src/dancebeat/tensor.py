@@ -38,10 +38,6 @@ class Tape:
         return len(self._records)
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 class GradSlot:
     """What backward needs of a tensor, without its value."""
 
@@ -93,10 +89,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -135,7 +127,7 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
     gradient, the tape records a new slot for it; otherwise it shares _NO_GRAD."""
     out = Tensor.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
-    tape = _active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None and any(t.slot.requires_grad for t in inputs):
         out.slot = GradSlot(out.data.shape, True)
         tape._records.append((out.slot, backward_fn))
@@ -230,6 +222,9 @@ def matmul(a, b, bias=None) -> Tensor:
             sb._accum(ad.swapaxes(-1, -2) @ g)
 
     return _emit(out, inputs, bwd)
+
+
+linear = matmul  # a dense layer: linear(x, w, b) is x·w + b
 
 
 def weighted_scatter(w, index, values, dense, width: int) -> Tensor:
@@ -442,7 +437,7 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         # loss does not depend on anything recorded; nothing to do
         return
-    tape = _active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is None:
         raise ContractError("backward needs the tape that recorded the loss to be active")
     loss._accum(np.ones_like(loss.data))
@@ -479,10 +474,6 @@ def parameters(layout: Layout, flat: np.ndarray,
             view[...] = rng.uniform(-a, a, size=shape)
         out[name] = Tensor(view, requires_grad=True)
     return out
-
-
-def linear(x, w, b=None) -> Tensor:
-    return matmul(x, w, b)
 
 
 def sinusoidal_embedding(positions, dim: int) -> np.ndarray:

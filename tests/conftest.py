@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +388,27 @@ def read_wav_header(path) -> dict:
         "channels": fields[6], "sample_rate": fields[7],
         "bits_per_sample": fields[10], "data_bytes": fields[12],
     }
+
+
+# ---------------------------------------------------------------------------
+# the matrix text file, one repr(float(v)) per value (byte oracle for
+# pose.write_matrix), and a checkpoint blob writer that keeps the manifest's
+# length and digest true, so a test can plant any values behind them
+
+
+def matrix_text(head: tuple, rows: np.ndarray) -> str:
+    fields = [repr(float(v)) if isinstance(v, float) else str(v) for v in head]
+    return "".join(" ".join(f) + "\n"
+                   for f in [fields] + [[repr(float(v)) for v in row] for row in rows])
+
+
+def write_blob(ckpt: Path, flat: np.ndarray) -> None:
+    blob = flat.astype("<f8").tobytes()
+    manifest = ckpt.with_suffix(".manifest")
+    lines = manifest.read_text().splitlines()
+    lines[1] = f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"
+    manifest.write_text("\n".join(lines) + "\n")
+    ckpt.with_suffix(".bin").write_bytes(blob)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -8,8 +9,10 @@ import pytest
 
 from dancebeat.checkpoint import MAGIC, load_model, save_model
 from dancebeat.config import RunConfig, load_config
-from dancebeat.errors import ConfigError, ParseError
+from dancebeat.errors import ConfigError, NumericalError, ParseError
 from dancebeat.flowgen import euler_sample, init_model, layout, parameter_count, velocity
+
+from conftest import write_blob
 
 
 def tiny_tc(**kw):
@@ -164,6 +167,26 @@ class TestCheckpointIntegrity:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_refused_on_load(self, ckpt, bad):
+        # the blob's digest is true, so only the finiteness check stands in the way
+        flat = np.frombuffer(ckpt.with_suffix(".bin").read_bytes(), "<f8").copy()
+        offset = {name: sum(math.prod(s) for _, s, _ in layout(tiny_tc())[:i])
+                  for i, (name, _, _) in enumerate(layout(tiny_tc()))}
+        flat[offset["rhythm.a1"] + 5] = flat[offset["align.queries"]] = bad
+        write_blob(ckpt, flat)
+        with pytest.raises(ParseError) as e:
+            load_model(ckpt)
+        assert str(e.value) == f"{ckpt.with_suffix('.bin')}: tensor rhythm.a1 holds a non-finite value"
+
+    def test_nonfinite_weight_refused_on_save(self, tmp_path):
+        model = init_model(tiny_tc())
+        model.tensors["vf.head_b"].data[1] = np.nan
+        with pytest.raises(NumericalError) as e:
+            save_model(model, tmp_path / "ck")
+        assert str(e.value) == f"{tmp_path / 'ck'}: tensor vf.head_b holds a non-finite value, not written"
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_draws_nothing(self, ckpt, monkeypatch):
         def no_rng(*args, **kwargs):

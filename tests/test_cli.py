@@ -10,7 +10,7 @@ from dancebeat.cli import main
 from dancebeat.config import RunConfig, load_config
 from dancebeat.tensor import Tensor
 
-from conftest import read_wav_header
+from conftest import read_wav_header, write_blob
 
 TINY_CFG = """\
 scales = 2
@@ -393,6 +393,31 @@ class TestMalformedInputs:
                           "--out", str(tmp_path / "r"))
         self.assert_one_error(rc, err)
         assert "UTF-8" in err[0]
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("command", ["extract", "align", "generate", "evaluate"])
+    def test_refused_before_any_output(self, tmp_path, cfg_file, capsys, command):
+        data, ckpt, out = tmp_path / "data", tmp_path / "model", tmp_path / "out"
+        pose_file, r = data / "clip_000.pose", tmp_path / "clip.rhythm"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "1") == 0
+        assert run("--config", cfg_file, "extract", "--pose", str(pose_file), "--out", str(r)) == 0
+        checkpoint.save_model(flowgen.init_model(load_config(cfg_file)), ckpt)
+        flat = np.frombuffer(ckpt.with_suffix(".bin").read_bytes(), "<f8").copy()
+        flat[::7] = np.nan  # with a true digest
+        write_blob(ckpt, flat)
+        argv = {"extract": ("--pose", pose_file, "--out", out),
+                "align": ("--rhythm", r, "--out", out),
+                "generate": ("--pose", pose_file, "--cond", data / "clip_000.cond",
+                             "--out", out, "--wav", out.with_suffix(".wav")),
+                "evaluate": ("--data", data, "--report", out)}[command]
+        rc, err = run_err(capsys, "--config", cfg_file, command, "--ckpt", str(ckpt),
+                          *map(str, argv))
+        assert rc == 1 and len(err) == 1, err
+        assert err[0] == (f"error: {ckpt.with_suffix('.bin')}: "
+                          "tensor vf.time_w1 holds a non-finite value"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clip.log", "clip.rhythm", "data", "model.bin", "model.manifest", "tiny.cfg"]
 
 
 class TestCheckpointConflicts:

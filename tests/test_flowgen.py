@@ -259,6 +259,32 @@ class TestTrain:
         assert {n: g for n, g in peak.items() if not g > 1e-9 * top} == {}
 
 
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
+    def test_stops_before_adam_applies_it(self, monkeypatch, grad_clip):
+        models, snapshots, take = [], [], flowgen._take_grads
+        init = flowgen.init_model
+
+        def keep_model(cfg):
+            models.append(init(cfg))
+            return models[-1]
+
+        def poisoned(tensors):  # the third batch's gradient holds a NaN
+            g = take(tensors)
+            snapshots.append(models[0].flat.copy())
+            if len(snapshots) == 3:
+                g[5] = np.nan
+            return g
+
+        monkeypatch.setattr(flowgen, "init_model", keep_model)
+        monkeypatch.setattr(flowgen, "_take_grads", poisoned)
+        with pytest.raises(NumericalError, match="non-finite gradient norm at epoch 1, batch 0"):
+            train(tiny_dataset(4), tiny_tc(grad_clip=grad_clip))
+        assert len(snapshots) == 3
+        assert models[0].flat.tobytes() == snapshots[-1].tobytes()
+        assert models[0].flat.tobytes() != snapshots[0].tobytes()
+
+
 class TestClipStepMemory:
     def test_backward_peak_near_what_forward_holds(self):
         # a long_clip clip-step: 20 s clips on a 200-step latent, 211 tokens

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dancebeat import pose
-from dancebeat.errors import ConfigError, ParseError
+from dancebeat.errors import ConfigError, NumericalError, ParseError
 
-from conftest import relerr
+from conftest import matrix_text, relerr
+
+# -0.0, ± the smallest subnormal, the largest subnormal, the smallest normal,
+# ± the largest float, and both sides of repr's switches to exponent notation
+EDGE_VALUES = np.array([[-0.0, 0.0, 5e-324, -5e-324],
+                        [2.225073858507201e-308, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308],
+                        [1e16, 9999999999999998.0, -1e16, 1.0000000000000002e16],
+                        [1e-05, 0.0001, 9.999999999999999e-05, -1e-05]])
 
 
 class TestPoseSequence:
@@ -188,6 +199,49 @@ class TestMatrixCodec:
         path.write_bytes(b"2 1\n0.5\n\xc3(\n")
         with pytest.raises(ParseError, match="line 3"):
             pose.load_conditioning(path)
+
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(rows=EDGE_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_finite_matrix_round_trips_bit_exact(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "round_trip.matrix"
+        head = (*rows.shape, 29.97)
+        pose.write_matrix(path, head, rows)
+        assert path.read_text(encoding="utf-8") == matrix_text(head, rows)
+        values, got = pose.read_matrix(path, "T D fps", floats=1)
+        assert values == list(head)
+        assert got.dtype == np.float64 and got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, bad):
+        path = tmp_path / "z.latent"
+        z = np.zeros((5, 3))
+        z[2, 1], z[4, 0] = bad, bad
+        with pytest.raises(NumericalError) as e:
+            pose.write_matrix(path, z.shape, z)
+        assert str(e.value) == f"{path}: row 2: non-finite value, not written"
+        assert not path.exists()
+
+    # the first faulty row is reported; within a row its count comes first,
+    # then its values, then their finiteness
+    @pytest.mark.parametrize("text, fault", [
+        ("4 2\n1 2\n1 nan\n3 4\n5\n", "line 3: row 1: non-finite value"),
+        ("4 2\n1 2\n1 x\n3 4\n5\n", "line 3: row 1: could not convert string to float: 'x'"),
+        ("4 2\n1 2\ninf 1\n1 x\n5 6\n", "line 3: row 1: non-finite value"),
+        ("4 2\n-inf 2\n1 2\n3 4\n5 6 7\n", "line 2: row 0: non-finite value"),
+        ("3 2\n1 2\nnan x\n1\n", "line 3: row 1: could not convert string to float: 'x'"),
+        ("3 2\n1 2\nnan 1 x\n", "line 3: row 1: expected 2 values, found 3"),
+        ("3 2\n1 2\n1 nan\n", "line 3: row 1: non-finite value"),
+        ("3 2\n1 2\n3 4\n", "line 3: expected 3 rows, file has 2"),
+        ("1 2\n1 2\n3 4\n", "line 3: expected 1 rows, file has 2"),
+    ])
+    def test_first_faulty_row_wins(self, tmp_path, text, fault):
+        path = tmp_path / "m.matrix"
+        path.write_text(text)
+        with pytest.raises(ParseError) as e:
+            pose.read_matrix(path, "T D")
+        assert str(e.value) == f"{path}: {fault}"
 
     def test_bytes_unchanged_by_round_trip(self, tmp_path, rng):
         path = tmp_path / "p.pose"
