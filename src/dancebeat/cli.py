@@ -110,21 +110,21 @@ def cmd_extract(cfg: RunConfig, args) -> int:
     r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
     rhythm.save_rhythm(r, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "extract")
-    print(f"rhythm embedding {r.length}x{r.dim} -> {args.out}")
+    print(f"rhythm embedding {r.data.shape[0]}x{r.data.shape[1]} -> {args.out}")
     return 0
 
 
 def cmd_align(cfg: RunConfig, args) -> int:
     r = rhythm.load_rhythm(args.rhythm)
-    if r.dim != cfg.rhythm_dim:
-        raise ConfigError(f"{args.rhythm} has {r.dim} columns but rhythm_dim is {cfg.rhythm_dim}")
+    if (D := r.data.shape[1]) != cfg.rhythm_dim:
+        raise ConfigError(f"{args.rhythm} has {D} columns but rhythm_dim is {cfg.rhythm_dim}")
     # without a checkpoint, the queries of the untrained model `extract` uses
     model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
     a = align_mod.align(r, model.queries, cfg.align_mode)
     rhythm.save_rhythm(a, args.out)
     _write_runlog(Path(args.out).with_suffix(".log"), cfg, "align")
-    print(f"aligned rhythm {a.length}x{a.dim} -> {args.out}")
+    print(f"aligned rhythm {a.data.shape[0]}x{a.data.shape[1]} -> {args.out}")
     return 0
 
 
@@ -191,6 +191,10 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         gen_dir = Path(args.generated)
         latents = {cid: pose.load_latent(gen_dir / f"{cid}.latent")
                    for cid in _clip_ids(data_dir)}
+        for cid, z in latents.items():
+            if len(z.data) != cfg.latent_len:
+                raise ConfigError(f"{gen_dir / cid}.latent has {len(z.data)} rows but "
+                                  f"latent_len is {cfg.latent_len}")
     elif args.ckpt:
         model = _load_checkpoint(cfg, args.ckpt)
         latents = _generate_all(cfg, model, data_dir, conditioned=not args.unconditional)

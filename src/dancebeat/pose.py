@@ -30,8 +30,8 @@ class PoseSequence:
             raise ConfigError(f"invalid pose shape T={T} J={J} C={C}")
         if not np.isfinite(self.data).all():
             raise ConfigError("pose data contains non-finite values")
-        if not self.fps > 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
 
     @property
     def frames(self) -> int:
@@ -71,16 +71,18 @@ class BeatGrid:
 
 @dataclass
 class _Matrix:
-    """A finite 2-D float64 array."""
+    """A finite, nonempty 2-D float64 array, at a finite positive `fps` if it has one."""
 
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ConfigError(f"{self.what} must be 2-D, got shape {self.data.shape}")
+        if self.data.ndim != 2 or 0 in self.data.shape:
+            raise ConfigError(f"{self.what} must be 2-D and nonempty, got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ConfigError(f"{self.what} contains non-finite values")
+        if not 0 < getattr(self, "fps", 1.0) < math.inf:
+            raise ConfigError(f"{self.what} fps must be finite and positive, got {self.fps}")
 
 
 class ConditioningFeatures(_Matrix):
@@ -222,7 +224,7 @@ def synth_conditioning(length: int, dim: int, seed: int = 0) -> ConditioningFeat
 # Pose file: header "T J C fps", then T lines of J*C decimals.
 # Conditioning file: header "T_v D_v", then T_v lines of D_v decimals.
 # Latent file: header "T_m d", then T_m lines of d decimals.
-# BeatGrid file: line 1 "timeline_len fps", line 2 space-separated frames.
+# BeatGrid file: exactly two lines, "timeline_len fps" then space-separated frames.
 
 
 def read_lines(path) -> list[str]:
@@ -297,6 +299,14 @@ def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[
     return values, data
 
 
+def parsed(cls, path, line: int, *args):
+    """`cls(*args)`; a value the type refuses is a ParseError at `line` of `path`."""
+    try:
+        return cls(*args)
+    except ConfigError as e:
+        raise ParseError(str(e), line, path)
+
+
 def save_pose_sequence(p: PoseSequence, path) -> None:
     T, J, C = p.data.shape
     write_matrix(path, (T, J, C, float(p.fps)), p.data.reshape(T, J * C))
@@ -304,9 +314,7 @@ def save_pose_sequence(p: PoseSequence, path) -> None:
 
 def load_pose_sequence(path) -> PoseSequence:
     (T, J, C, fps), rows = read_matrix(path, "T J C fps", floats=1, what="frame")
-    if T < 2:
-        raise ParseError(f"pose sequence needs T >= 2 frames, header says T={T}", 1, path)
-    return PoseSequence(data=rows.reshape(T, J, C), fps=fps)
+    return parsed(PoseSequence, path, 1, rows.reshape(T, J, C), fps)
 
 
 def save_conditioning(c: ConditioningFeatures, path) -> None:
@@ -340,11 +348,11 @@ def load_beat_grid(path) -> BeatGrid:
         timeline_len, fps = int(head[0]), float(head[1])
     except ValueError as e:
         raise ParseError(f"bad header: {e}", 1, path)
+    parsed(BeatGrid, path, 1, [], timeline_len, fps)  # the header's own values
+    if len(lines) != 2:
+        raise ParseError(f"expected 2 lines, file has {len(lines)}", min(len(lines) + 1, 3), path)
     try:
-        frames = [int(x) for x in lines[1].split()] if len(lines) > 1 else []
+        frames = [int(x) for x in lines[1].split()]
     except ValueError as e:
         raise ParseError(f"bad beat frame: {e}", 2, path)
-    try:
-        return BeatGrid(beat_frames=frames, timeline_len=timeline_len, fps=fps)
-    except ConfigError as e:
-        raise ParseError(str(e), path=path)
+    return parsed(BeatGrid, path, 2, frames, timeline_len, fps)

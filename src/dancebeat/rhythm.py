@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .errors import ConfigError
-from .pose import PoseSequence, local_minima, motion_diff, read_matrix, write_matrix
+from .pose import (PoseSequence, _Matrix, local_minima, motion_diff, parsed, read_matrix,
+                   write_matrix)
 from .tensor import Tensor
 
 
@@ -110,19 +111,11 @@ class ClipRhythmFeatures:
 
 
 @dataclass
-class RhythmEmbedding:
-    """T x D rhythm features; the final row repeats the penultimate one."""
+class RhythmEmbedding(_Matrix):
+    """T x D rhythm features at `fps`; extracted, the final row repeats the penultimate one."""
 
-    data: np.ndarray
     fps: float
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
+    what = "rhythm embedding"
 
 
 def _conv_cols(signal_2d: np.ndarray, bank: WaveletBank) -> np.ndarray:
@@ -244,4 +237,4 @@ def save_rhythm(r: RhythmEmbedding, path) -> None:
 
 def load_rhythm(path) -> RhythmEmbedding:
     (_T, _D, fps), data = read_matrix(path, "T D fps", floats=1)
-    return RhythmEmbedding(data=data, fps=fps)
+    return parsed(RhythmEmbedding, path, 1, data, fps)

@@ -340,6 +340,56 @@ class TestMalformedInputs:
         self.assert_one_error(rc, err)
         assert str(beats) in err[0] and "fps must be finite and positive" in err[0], err
 
+    @pytest.mark.parametrize("text, line", [("10 30.0\n1 2\n3 4\n", 3), ("10 30.0\n1 2\n\n", 3),
+                                            ("10 30.0\n", 2)],
+                             ids=["third-line", "blank-third-line", "no-frames-line"])
+    def test_beats_two_lines(self, tmp_path, cfg_file, data, capsys, text, line):
+        beats, report = data / "clip_000.beats", tmp_path / "report.txt"
+        beats.write_text(text)
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate", "--data", str(data),
+                          "--generated", str(data), "--report", str(report))
+        self.assert_one_error(rc, err)
+        assert f"{beats}: line {line}: expected 2 lines" in err[0], err
+        assert not report.exists()
+
+    def test_generated_latent_rows(self, tmp_path, cfg_file, data, capsys):
+        z, report = data / "clip_000.latent", tmp_path / "report.txt"
+        pose.save_latent(pose.MusicLatent(np.zeros((8, 3))), z)  # latent_len is 10
+        rc, err = run_err(capsys, "--config", cfg_file, "evaluate", "--data", str(data),
+                          "--generated", str(data), "--report", str(report))
+        self.assert_one_error(rc, err)
+        assert f"{z} has 8 rows but latent_len is 10" in err[0], err
+        assert not report.exists()
+
+    # header values the matrix header rule lets through and the pose type refuses
+    @pytest.mark.parametrize("fps, coords", [("0.0", 2), ("-30.0", 2), ("30.0", 4)],
+                             ids=["fps-0", "fps-minus-30", "C-4"])
+    def test_pose_header_value(self, tmp_path, cfg_file, data, capsys, fps, coords):
+        p, out = data / "clip_000.pose", tmp_path / "clip.rhythm"
+        lines = p.read_text().splitlines()
+        T, J, C, _ = lines[0].split()
+        lines[0] = f"{T} {int(J) * int(C) // coords} {coords} {fps}"  # the same row width
+        p.write_text("\n".join(lines) + "\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "extract", "--pose", str(p),
+                          "--out", str(out))
+        self.assert_one_error(rc, err)
+        assert err[0].startswith(f"error: {p}: line 1: "), err
+        assert not out.exists() and not out.with_suffix(".log").exists()
+
+    @pytest.mark.parametrize("fps", ["0.0", "-30.0"])
+    def test_rhythm_fps(self, tmp_path, cfg_file, data, capsys, fps):
+        r, out = tmp_path / "clip.rhythm", tmp_path / "a"
+        assert run("--config", cfg_file, "extract", "--pose", str(data / "clip_000.pose"),
+                   "--out", str(r)) == 0
+        lines = r.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:2] + [fps])
+        r.write_text("\n".join(lines) + "\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "align", "--rhythm", str(r),
+                          "--out", str(out))
+        self.assert_one_error(rc, err)
+        assert f"{r}: line 1: rhythm embedding fps must be finite and positive" in err[0], err
+        assert not out.exists() and not out.with_suffix(".log").exists()
+
     @pytest.mark.parametrize("length", ["9" * 401, str(2 ** 53 + 1), "0"],
                              ids=["401-digits", "2**53+1", "0"])
     def test_beats_timeline_length(self, tmp_path, cfg_file, data, capsys, length):

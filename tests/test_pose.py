@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dancebeat import pose
+from dancebeat import checkpoint, flowgen, pose, rhythm
+from dancebeat.config import RunConfig, load_config
 from dancebeat.errors import ConfigError, NumericalError, ParseError
 
 from conftest import matrix_text, relerr
@@ -163,6 +164,15 @@ class TestBeatGridFiles:
         assert h.beat_frames == g.beat_frames
         assert h.timeline_len == 20
 
+    @pytest.mark.parametrize("text, line", [("0 30.0\n\n", 1), ("10 -30.0\n1 2\n", 1),
+                                            ("10 30.0\n1 1\n", 2), ("10 30.0\n10\n", 2)])
+    def test_refused_value_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "g.beats"
+        path.write_text(text)
+        with pytest.raises(ParseError) as e:
+            pose.load_beat_grid(path)
+        assert str(e.value).startswith(f"{path}: line {line}: "), e.value
+
     def test_invariants(self):
         with pytest.raises(ConfigError):
             pose.BeatGrid(beat_frames=[5, 5], timeline_len=10, fps=30)
@@ -250,3 +260,137 @@ class TestMatrixCodec:
         text = path.read_text()
         pose.save_pose_sequence(pose.load_pose_sequence(path), path)
         assert path.read_text() == text and text.startswith("3 2 2 30.0\n")
+
+
+def matrices(shape):
+    """float64 arrays of `shape`s; half the draws may hold NaN or ±inf."""
+    return (arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+            | arrays(np.float64, shape, elements=st.floats()))
+
+
+# each strategy `valid | anything` draws half from a type's valid range, half from anywhere
+ANY_SIZE = st.integers(0, 4)
+MATRICES = matrices(st.tuples(ANY_SIZE, ANY_SIZE))
+# 5e-324 up to the largest float; or any float, NaN, ±inf, 0 and negatives included
+FPS = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.floats()
+ROUND_TRIP = settings(max_examples=60, deadline=None)
+
+
+class TestEveryFileKindRoundTrips:
+    """Whatever a file's type accepts saves and loads back equal, arrays bit
+    for bit; whatever it refuses is a ConfigError before any file exists."""
+
+    def round_trip(self, path, make, save, load):
+        """(made, loaded), or None when the type refused the value."""
+        files = (path, path.with_suffix(".manifest"), path.with_suffix(".bin"))
+        for f in files:
+            f.unlink(missing_ok=True)
+        try:
+            made = make()
+        except ConfigError:
+            event("refused")
+            assert not any(f.exists() for f in files)
+            return None
+        event("accepted")
+        save(made, path)
+        return made, load(path)
+
+    @given(data=matrices(st.tuples(st.integers(2, 4), st.integers(1, 3), st.sampled_from([2, 3]))
+                         | st.tuples(ANY_SIZE, ANY_SIZE, ANY_SIZE)), fps=FPS)
+    @example(data=np.zeros((2, 1, 2)), fps=np.inf)
+    @example(data=np.zeros((2, 1, 2)), fps=5e-324)
+    @ROUND_TRIP
+    def test_pose(self, tmp_path_factory, data, fps):
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.pose",
+                              lambda: pose.PoseSequence(data, fps),
+                              pose.save_pose_sequence, pose.load_pose_sequence)
+        if got:
+            made, loaded = got
+            assert loaded.data.tobytes() == made.data.tobytes() and loaded.fps == made.fps
+
+    @pytest.mark.parametrize("kind, save, load", [
+        (pose.ConditioningFeatures, pose.save_conditioning, pose.load_conditioning),
+        (pose.MusicLatent, pose.save_latent, pose.load_latent)], ids=["cond", "latent"])
+    @given(data=MATRICES)
+    @example(data=np.zeros((0, 3)))
+    @ROUND_TRIP
+    def test_cond_and_latent(self, tmp_path_factory, kind, save, load, data):
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.matrix",
+                              lambda: kind(data), save, load)
+        if got:
+            made, loaded = got
+            assert loaded.data.shape == made.data.shape
+            assert loaded.data.tobytes() == made.data.tobytes()
+
+    @given(data=MATRICES, fps=FPS)
+    @example(data=np.zeros((2, 3)), fps=-30.0)
+    @ROUND_TRIP
+    def test_rhythm(self, tmp_path_factory, data, fps):
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.rhythm",
+                              lambda: rhythm.RhythmEmbedding(data, fps),
+                              rhythm.save_rhythm, rhythm.load_rhythm)
+        if got:
+            made, loaded = got
+            assert loaded.data.shape == made.data.shape
+            assert loaded.data.tobytes() == made.data.tobytes() and loaded.fps == made.fps
+
+    @given(frames=(st.lists(st.integers(0, 39), max_size=6, unique=True).map(sorted)
+                   | st.lists(st.integers(-2, 41), max_size=6)),
+           timeline_len=st.integers(40, 2 ** 53) | st.integers(-2, 2 ** 53 + 1),
+           fps=FPS)
+    @ROUND_TRIP
+    def test_beats(self, tmp_path_factory, frames, timeline_len, fps):
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.beats",
+                              lambda: pose.BeatGrid(frames, timeline_len, fps),
+                              pose.save_beat_grid, pose.load_beat_grid)
+        if got:
+            made, loaded = got
+            assert loaded == made
+
+    @given(fields=st.fixed_dictionaries({}, optional={
+        "fps": st.floats(1.0, 60.0) | st.floats(),
+        "learning_rate": st.floats(1e-6, 1.0) | st.floats(),
+        "cond_drop_prob": st.floats(0.0, 1.0, exclude_max=True) | st.floats(),
+        "latent_len": st.integers(1, 300) | st.integers(-2, 0),
+        "hidden": st.sampled_from([8, 16, 64]) | st.integers(-1, 64),
+        "heads": st.sampled_from([1, 2, 4, 8]) | st.integers(-1, 8),
+        "seed": st.integers(0, 2 ** 64) | st.integers(-2, -1),
+        "rhythm_mode": st.sampled_from(["learned", "mean", "binary", "none"]) | st.text(),
+    }))
+    @ROUND_TRIP
+    def test_config(self, tmp_path_factory, fields):
+        save = lambda cfg, path: path.write_text(cfg.to_text(), encoding="utf-8")
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.cfg",
+                              lambda: RunConfig(**fields), save, load_config)
+        if got:
+            made, loaded = got
+            assert loaded == made
+
+    @given(fields=st.fixed_dictionaries({
+        "blocks": st.integers(1, 2) | st.integers(-1, 2),
+        "hidden": st.sampled_from([4, 6, 8]), "heads": st.integers(1, 3),
+        "latent_len": st.integers(1, 6) | st.integers(-1, 6),
+        "latent_dim": st.integers(1, 3), "cond_dim": st.integers(1, 3),
+        "base_period": st.floats(2.0, 5.0) | st.floats(0.0, 5.0), "seed": st.integers(0, 100),
+        "rhythm_mode": st.sampled_from(["learned", "mean", "binary", "none"]),
+        "align_mode": st.sampled_from(["attn", "meanpool"]),
+    }))
+    @ROUND_TRIP
+    def test_checkpoint(self, tmp_path_factory, fields):
+        small = dict(scales=2, bins=4, rhythm_dim=6, hidden_w=4, hidden_a=4)
+        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind_model",
+                              lambda: flowgen.init_model(RunConfig(**small, **fields)),
+                              checkpoint.save_model, checkpoint.load_model)
+        if got:
+            made, loaded = got
+            assert loaded.config == made.config
+            assert loaded.flat.tobytes() == made.flat.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: pose.PoseSequence(np.zeros((3, 2, 2)), fps=np.inf),
+        lambda: pose.MusicLatent(np.zeros((0, 3))),
+        lambda: rhythm.RhythmEmbedding(np.zeros((4, 3)), fps=0),
+    ], ids=["pose-fps-inf", "latent-0-rows", "rhythm-fps-0"])
+    def test_refused_by_the_type(self, make):
+        with pytest.raises(ConfigError):
+            make()
