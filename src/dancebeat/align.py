@@ -1,8 +1,8 @@
 """Temporal alignment of frame-rate rhythm features onto the latent timeline.
 
-The T-frame rhythm embedding is split into T_m contiguous segments; a
-learnable query per segment pools its frames by scaled-dot-product
-attention, so each output row is a convex combination of its segment.
+Segment i of the T-frame rhythm embedding starts at frame floor(i*T/T_m), on the
+linear map that `pose.map_to_latent` rounds; a learnable query per segment pools
+its frames by scaled-dot-product attention into a convex combination of them.
 """
 from __future__ import annotations
 
@@ -41,13 +41,13 @@ class ContextQueries:
 
 
 def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
-    """Contiguous partition of [0, total) into `count` spans; when the split
-    is uneven the first (total mod count) spans get the extra frame."""
+    """Contiguous partition of [0, total) into `count` spans, span i starting
+    at floor(i*total/count): less than one frame behind the linear map that
+    `pose.map_to_latent` rounds, with lengths that differ by at most one."""
     if not 1 <= count <= total:
         raise ConfigError(f"cannot split {total} frames into {count} segments")
-    base, extra = divmod(total, count)
-    ends = [base * (i + 1) + min(i + 1, extra) for i in range(count)]
-    return list(zip([0] + ends[:-1], ends))
+    cuts = [i * total // count for i in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -118,6 +118,8 @@ def cmd_align(cfg: RunConfig, args) -> int:
     r = rhythm.load_rhythm(args.rhythm)
     if (D := r.data.shape[1]) != cfg.rhythm_dim:
         raise ConfigError(f"{args.rhythm} has {D} columns but rhythm_dim is {cfg.rhythm_dim}")
+    if (T := r.data.shape[0]) < cfg.latent_len:
+        raise ConfigError(f"{args.rhythm} has {T} frames, fewer than latent_len = {cfg.latent_len}")
     # without a checkpoint, the queries of the untrained model `extract` uses
     model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .pose import read_lines
 
-# --print-config labels these "reference default" and every other field "desk default"
+# --print-config labels an unset field "reference default" if listed here, else "desk default"
 _REFERENCE = {"duration_s", "batch_size", "epochs", "learning_rate",
               "adam_beta1", "adam_beta2", "steps", "cfg_scale"}
 
@@ -105,8 +105,9 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_text(self, labeled: bool = False) -> str:
-        label = lambda n: f"  # {'reference' if n in _REFERENCE else 'desk'} default"
-        return "".join(f"{f.name} = {getattr(self, f.name)!r}{label(f.name) if labeled else ''}\n"
+        label = lambda f: ("  # set by this run" if getattr(self, f.name) != f.default else
+                           f"  # {'reference' if f.name in _REFERENCE else 'desk'} default")
+        return "".join(f"{f.name} = {getattr(self, f.name)!r}{label(f) if labeled else ''}\n"
                        for f in fields(self))
 
 
@@ -143,4 +144,7 @@ def load_config(path) -> RunConfig:
             kwargs[key] = parse_value(key, val)
         except ConfigError as e:
             raise ConfigError(f"{path}:{ln}: {e}")
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}")

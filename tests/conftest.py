@@ -8,7 +8,7 @@ import pytest
 
 from dancebeat import flowgen
 from dancebeat import tensor as tz
-from dancebeat.align import segment_slots, segment_spans
+from dancebeat.align import segment_slots
 from dancebeat.errors import ConfigError, ShapeError
 from dancebeat.pose import MusicLatent, motion_diff
 from dancebeat.rhythm import phase_bins
@@ -211,6 +211,13 @@ def transpose(a, axes=None) -> Tensor:
         a._accum(g.transpose(np.argsort(axes)))
 
     return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
+
+
+def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
+    """The cut rule by its definition: segment i is the frames f with
+    floor(i*total/count) <= f < floor((i+1)*total/count)."""
+    cuts = [math.floor(i * total / count) for i in range(count + 1)]
+    return [(cuts[i], cuts[i + 1]) for i in range(count)]
 
 
 def attention_pool_loop(seg: Tensor, q: Tensor) -> Tensor:

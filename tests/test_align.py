@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dancebeat import align, tensor as tz
 from dancebeat.errors import ConfigError
@@ -18,24 +20,34 @@ class TestSegmentSpans:
         assert all(b - a == 3 for a, b in spans)
 
     def test_balanced_remainder(self):
+        # cuts at floor(i*10/3) = 0, 3, 6, 10: the longer segment comes where
+        # the linear map's fractions add up to a frame, here last
         spans = align.segment_spans(10, 3)
-        assert [b - a for a, b in spans] == [4, 3, 3]
+        assert [b - a for a, b in spans] == [3, 3, 4]
 
     def test_singletons(self):
         assert align.segment_spans(5, 5) == [(i, i + 1) for i in range(5)]
 
-    def test_partition_property(self, rng):
-        for _ in range(50):
-            T = int(rng.integers(1, 40))
-            T_m = int(rng.integers(1, T + 1))
-            spans = align.segment_spans(T, T_m)
-            assert spans[0][0] == 0 and spans[-1][1] == T
-            assert all(a < b for a, b in spans)
-            assert all(spans[i][1] == spans[i + 1][0] for i in range(len(spans) - 1))
-
     def test_too_many_segments(self):
         with pytest.raises(ConfigError):
             align.segment_spans(4, 5)
+
+    @given(st.integers(1, 2000).flatmap(lambda T: st.tuples(st.just(T), st.integers(1, T))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_partition_property(self, split):
+        """The spans partition [0, T) into lengths that differ by at most one;
+        segment i starts less than one frame behind i*T/T_m, and every frame f
+        lies within one latent step of f*T_m/T, where `map_to_latent` puts it."""
+        T, T_m = split
+        spans = align.segment_spans(T, T_m)
+        assert len(spans) == T_m and spans[0][0] == 0 and spans[-1][1] == T
+        assert all(spans[i][1] == spans[i + 1][0] for i in range(T_m - 1))
+        lengths = [b - a for a, b in spans]
+        assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+        for i, (a, b) in enumerate(spans):
+            for f in range(a, b):  # |i - f*T_m/T| <= 1
+                assert abs(i * T - f * T_m) <= T, (f, i, f * T_m / T)
+            assert 0 <= i * T - a * T_m < T_m  # 0 <= i*T/T_m - a < 1
 
 
 class TestAttentionPool:

@@ -113,9 +113,10 @@ class TestAlignment:
         assert np.array_equal(flowgen.mean_pool_align(r, T).data, r.data)
 
     def test_segment_slots_partition_the_frames(self):
+        # spans [0, 3), [3, 6), [6, 10): the last row is the one fully inside
         slots, inside = align.segment_slots(10, 3)
-        assert slots.tolist() == [[0, 1, 2, 3], [4, 5, 6, 10], [7, 8, 9, 11]]
-        assert inside.tolist() == [[True] * 4, [True] * 3 + [False], [True] * 3 + [False]]
+        assert slots.tolist() == [[0, 1, 2, 10], [3, 4, 5, 11], [6, 7, 8, 9]]
+        assert inside.tolist() == [[True] * 3 + [False], [True] * 3 + [False], [True] * 4]
 
     @pytest.mark.parametrize("T, count", [(7, 3), (10, 3), (147, 50), (150, 50), (599, 200)])
     def test_band_key_never_repeats(self, rng, monkeypatch, T, count):

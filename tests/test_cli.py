@@ -199,6 +199,27 @@ class TestTopLevel:
         rc, err = run_err(capsys, "--config", str(p), "--print-config")
         assert rc == 1 and len(err) == 1 and "unknown config key" in err[0], err
 
+    @pytest.mark.parametrize("text", ["fps = 0.0\n", "hidden = 10\nheads = 4\n"])
+    def test_config_refused_as_a_whole_names_its_file(self, tmp_path, capsys, text):
+        # every line parses; RunConfig refuses the values together
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        out = tmp_path / "data"
+        rc, err = run_err(capsys, "--config", str(p), "synth", "--out", str(out))
+        assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {p}: "), err
+        assert not out.exists()
+
+    def test_print_config_labels_what_the_run_sets(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("fps = 60.0\n")
+        assert run("--config", str(p), "--seed", "3", "--print-config") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "fps = 60.0  # set by this run" in lines
+        assert "seed = 3  # set by this run" in lines
+        assert "epochs = 100  # reference default" in lines
+        assert "joints = 17  # desk default" in lines
+        assert sum("# set by this run" in ln for ln in lines) == 2
+
     def test_missing_pose_file(self, tmp_path, capsys):
         assert run("extract", "--pose", str(tmp_path / "nope.pose"),
                    "--out", str(tmp_path / "o.rhythm")) == 1
@@ -330,6 +351,18 @@ class TestMalformedInputs:
         self.assert_one_error(rc, err)
         assert "5 columns but rhythm_dim is 6" in err[0]
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("align_mode", ["attn", "meanpool"])
+    def test_rhythm_shorter_than_latent_len(self, tmp_path, capsys, align_mode):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(TINY_CFG + f"align_mode = {align_mode!r}\n")  # latent_len = 10
+        r = tmp_path / "clip.rhythm"
+        rhythm.save_rhythm(rhythm.RhythmEmbedding(data=np.ones((9, 6)), fps=30.0), r)
+        rc, err = run_err(capsys, "--config", str(cfg), "align", "--rhythm", str(r),
+                          "--out", str(tmp_path / "a.arhythm"))
+        self.assert_one_error(rc, err)
+        assert f"{r} has 9 frames, fewer than latent_len = 10" in err[0], err
+        assert not (tmp_path / "a.arhythm").exists() and not (tmp_path / "a.log").exists()
 
     @pytest.mark.parametrize("fps", ["0", "-30", "inf", "nan"])
     def test_beats_fps(self, tmp_path, cfg_file, data, capsys, fps):
