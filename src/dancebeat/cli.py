@@ -52,8 +52,10 @@ def _load_dataset(data_dir: Path):
              pose.load_conditioning(data_dir / f"{cid}.cond")) for cid in _clip_ids(data_dir)]
 
 
-def _write_runlog(path: Path, cfg: RunConfig, command: str) -> None:
-    path.write_text(f"command = {command}\n{cfg.to_text()}", encoding="utf-8")
+def _write_runlog(cfg: RunConfig, args) -> None:
+    """The command and its config in `<out>.log`, or `<out>/run.log` for synth."""
+    path = Path(args.out) / "run.log" if args.command == "synth" else Path(f"{args.out}.log")
+    path.write_text(f"command = {args.command}\n{cfg.to_text()}", encoding="utf-8")
 
 
 def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:
@@ -98,7 +100,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         pose.save_conditioning(c, out / f"{cid}.cond")
         manifest_lines.append(f"{cid} tempo={tempo!r} seed={clip_seed}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    _write_runlog(out / "run.log", cfg, "synth")
+    _write_runlog(cfg, args)
     print(f"wrote {args.n_clips} clips to {out}")
     return 0
 
@@ -109,7 +111,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
     model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
     r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
     rhythm.save_rhythm(r, args.out)
-    _write_runlog(Path(args.out).with_suffix(".log"), cfg, "extract")
+    _write_runlog(cfg, args)
     print(f"rhythm embedding {r.data.shape[0]}x{r.data.shape[1]} -> {args.out}")
     return 0
 
@@ -125,7 +127,7 @@ def cmd_align(cfg: RunConfig, args) -> int:
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
     a = align_mod.align(r, model.queries, cfg.align_mode)
     rhythm.save_rhythm(a, args.out)
-    _write_runlog(Path(args.out).with_suffix(".log"), cfg, "align")
+    _write_runlog(cfg, args)
     print(f"aligned rhythm {a.data.shape[0]}x{a.data.shape[1]} -> {args.out}")
     return 0
 
@@ -136,7 +138,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     model = flowgen.train(dataset, cfg)
     wall, cpu = time.monotonic() - t0, time.process_time() - c0
     checkpoint.save_model(model, args.out)
-    _write_runlog(Path(args.out).with_suffix(".log"), cfg, "train")
+    _write_runlog(cfg, args)
     print(f"trained {len(dataset)} clips for {cfg.epochs} epochs; "
           f"loss {model.loss_history[0]:.4f} -> {model.loss_history[-1]:.4f}")
     print(f"wall time {wall:.1f}s, cpu {cpu:.1f}s", file=sys.stderr)
@@ -155,7 +157,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
         wav = clicktrack.render_clicks(grid, duration_s=p.frames / p.fps)
         clicktrack.write_wav(wav, args.wav)
     pose.save_latent(z, args.out)
-    _write_runlog(Path(args.out).with_suffix(".log"), cfg, "generate")
+    _write_runlog(cfg, args)
     print(f"generated latent -> {args.out}")
     return 0
 

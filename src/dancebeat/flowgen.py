@@ -9,7 +9,8 @@ the rhythm extractor, and the alignment queries with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,45 +27,13 @@ from .tensor import Tape, Tensor, backward
 TIME_FREQ_SCALE = 1000.0  # spreads t in [0,1] across the sinusoid spectrum
 
 
-@dataclass
-class TransformerBlock:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor  # no key bias: it shifts a query's scores equally, which softmax cancels
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-    f1: Tensor
-    fb1: Tensor
-    f2: Tensor
-    fb2: Tensor
+class TransformerBlock(SimpleNamespace):
+    """One transformer block's tensors, named by the layout's `block{i}.` entries."""
 
 
-@dataclass
-class VelocityFieldParams:
-    heads: int
-    time_w1: Tensor
-    time_b1: Tensor
-    time_w2: Tensor
-    time_b2: Tensor
-    cond_w: Tensor
-    cond_b: Tensor
-    null_cond: Tensor
-    rhythm_w: Tensor
-    rhythm_b: Tensor
-    null_rhythm: Tensor
-    lat_w: Tensor
-    lat_b: Tensor
-    layers: list[TransformerBlock]
-    out_g: Tensor
-    out_b: Tensor
-    head_w: Tensor
-    head_b: Tensor
+class VelocityFieldParams(SimpleNamespace):
+    """The velocity field's tensors, named by `layout`, with `heads`, the
+    attention head count, and `layers`, one TransformerBlock per block."""
 
     @property
     def latent_dim(self) -> int:
@@ -79,9 +48,11 @@ class VelocityFieldParams:
         h, ff, ld = cfg.hidden, 4 * cfg.hidden, cfg.latent_dim
         w = lambda name, fan_in, fan_out: (name, (fan_in, fan_out), fan_in)
         z = lambda name, n=h: (name, (n,), "zeros")
-        block = [("ln1_g", (h,), "ones"), z("ln1_b"), w("wq", h, h), z("bq"), w("wk", h, h),
-                 w("wv", h, h), z("bv"), w("wo", h, h), z("bo"), ("ln2_g", (h,), "ones"),
-                 z("ln2_b"), w("f1", h, ff), z("fb1", ff), w("f2", ff, h), z("fb2")]
+        block = [("ln1_g", (h,), "ones"), z("ln1_b"), w("wq", h, h), z("bq"),
+                 # no key bias: it shifts a query's scores equally, which softmax cancels
+                 w("wk", h, h), w("wv", h, h), z("bv"), w("wo", h, h), z("bo"),
+                 ("ln2_g", (h,), "ones"), z("ln2_b"), w("f1", h, ff), z("fb1", ff),
+                 w("f2", ff, h), z("fb2")]
         return [w("time_w1", h, h), z("time_b1"), w("time_w2", h, h), z("time_b2"),
                 w("cond_w", cfg.cond_dim, h), z("cond_b"), ("null_cond", (1, h), h),
                 w("rhythm_w", cfg.rhythm_dim, h), z("rhythm_b"), ("null_rhythm", (1, h), h),
@@ -314,11 +285,13 @@ def build_model(cfg: RunConfig, flat: np.ndarray,
     groups = _group_layouts(cfg)
     starts = dict(zip(groups, np.cumsum([0] + [tz.layout_size(g) for g in groups.values()])))
     t = {g: tz.parameters(groups[g], flat[starts[g]:], rng) for g in DRAW_ORDER}
-    block = lambda i: {f.name: t["vf"][f"block{i}.{f.name}"] for f in fields(TransformerBlock)}
+    block = lambda i: {n.removeprefix(f"block{i}."): x for n, x in t["vf"].items()
+                       if n.startswith(f"block{i}.")}
     vf = VelocityFieldParams(heads=cfg.heads,
                              layers=[TransformerBlock(**block(i)) for i in range(cfg.blocks)],
                              **{n: x for n, x in t["vf"].items() if "." not in n})
-    return TrainedModel(vf=vf, rhythm_net=RhythmParams(cfg.scales, cfg.bins, **t["rhythm"]),
+    return TrainedModel(vf=vf, rhythm_net=RhythmParams(scales=cfg.scales, bins=cfg.bins,
+                                                       **t["rhythm"]),
                         queries=ContextQueries(t["align"]["queries"]),
                         bank=build_wavelet_bank(cfg.scales, cfg.base_period), config=cfg,
                         loss_history=[], flat=flat,

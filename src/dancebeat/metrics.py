@@ -6,8 +6,10 @@ F1 is their harmonic mean; CSD/HSD are across-clip sample standard
 deviations of BCS/BHS. Matching is greedy, one-to-one and in time order
 within a +-window tolerance.
 
-The dance-beat detector deliberately uses raw unweighted motion magnitude
-so evaluation stays independent of any trained model it judges.
+The `evaluate` command scores a latent's channel-0 peaks (`detect_latent_beats`)
+against the clip's `.beats` grid as `pose.map_to_latent` places it on the latent
+timeline. `detect_dance_beats`, the minima of raw unweighted motion magnitude, is
+the kinematic reference that acceptance test 6 checks `pose.synth_dance` against.
 """
 from __future__ import annotations
 

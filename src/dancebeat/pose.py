@@ -185,13 +185,15 @@ def map_to_latent(grid: BeatGrid, latent_len: int) -> list[int]:
     return i[np.diff(i, prepend=-1) != 0].astype(np.int64).tolist()
 
 
+LATENT_PULSE_SIGMA = 1.0  # the Gaussian sigma, in latent steps, of synth_latent's beat pulses
+LATENT_NOISE_AMP = 0.1  # the standard deviation of its other channels
+
+
 def synth_latent(
     beats: BeatGrid,
     latent_len: int,
     dim: int,
     seed: int = 0,
-    pulse_sigma: float = 1.0,
-    noise_amp: float = 0.1,
 ) -> MusicLatent:
     """Pulse-train latent: channel 0 carries unit-height smoothed pulses at
     the rescaled beat indices, remaining channels are low-amplitude noise.
@@ -201,10 +203,10 @@ def synth_latent(
     rng = np.random.default_rng(seed)
     data = np.zeros((latent_len, dim))
     if dim > 1:
-        data[:, 1:] = noise_amp * rng.standard_normal((latent_len, dim - 1))
+        data[:, 1:] = LATENT_NOISE_AMP * rng.standard_normal((latent_len, dim - 1))
     idx = np.arange(latent_len, dtype=np.float64)
     for i in map_to_latent(beats, latent_len):
-        bump = np.exp(-0.5 * ((idx - i) / pulse_sigma) ** 2)
+        bump = np.exp(-0.5 * ((idx - i) / LATENT_PULSE_SIGMA) ** 2)
         data[:, 0] = np.maximum(data[:, 0], bump)
     return MusicLatent(data=data)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,21 +59,9 @@ def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
     return WaveletBank(scales=scales, kernels=kernels, periods=periods)
 
 
-@dataclass
-class RhythmParams:
-    """Learnable parameters: per-joint weight net, fusion projection, gate net."""
-
-    scales: int
-    bins: int
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    fuse_w: Tensor
-    fuse_b: Tensor
-    a1: Tensor
-    ab1: Tensor
-    a2: Tensor
-    ab2: Tensor
+class RhythmParams(SimpleNamespace):
+    """Learnable parameters, named by `layout`: per-joint weight net, fusion
+    projection, gate net; `scales` and `bins` shape the fusion input."""
 
     @staticmethod
     def layout(scales: int, bins: int, dim: int, hidden_w: int, hidden_a: int) -> tz.Layout:
@@ -85,9 +74,10 @@ class RhythmParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, scales: int, bins: int, dim: int,
-             hidden_w: int = 16, hidden_a: int = 16) -> "RhythmParams":
+             hidden_w: int, hidden_a: int) -> "RhythmParams":
         layout = cls.layout(scales, bins, dim, hidden_w, hidden_a)
-        return cls(scales, bins, **tz.parameters(layout, np.empty(tz.layout_size(layout)), rng))
+        return cls(scales=scales, bins=bins,
+                   **tz.parameters(layout, np.empty(tz.layout_size(layout)), rng))
 
 
 @dataclass

@@ -46,6 +46,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def runlog(out: Path) -> Path:
+    """The run log a command with `--out out` writes."""
+    return out.with_name(out.name + ".log")
+
+
 class TestSynth:
     def test_writes_expected_files(self, tmp_path, cfg_file):
         out = tmp_path / "data"
@@ -107,6 +112,17 @@ class TestExtractAlign:
                    "--out", str(out)) == 0
         header = out.read_text().splitlines()[0].split()
         assert header[:2] == ["10", "6"]  # latent_len rows
+
+    def test_extract_and_align_on_one_stem_keep_both_logs(self, tmp_path, cfg_file):
+        data, r, a = tmp_path / "data", tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "1") == 0
+        assert run("--config", cfg_file, "extract", "--pose", str(data / "clip_000.pose"),
+                   "--out", str(r)) == 0
+        assert run("--config", cfg_file, "align", "--rhythm", str(r), "--out", str(a)) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.log")) == [
+            "clip.arhythm.log", "clip.rhythm.log"]
+        assert runlog(r).read_text().splitlines()[0] == "command = extract"
+        assert runlog(a).read_text().splitlines()[0] == "command = align"
 
     def test_uncheckpointed_pipeline_is_one_untrained_model(self, tmp_path, cfg_file):
         data, r, a = tmp_path / "data", tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
@@ -362,7 +378,7 @@ class TestMalformedInputs:
                           "--out", str(tmp_path / "a.arhythm"))
         self.assert_one_error(rc, err)
         assert f"{r} has 9 frames, fewer than latent_len = 10" in err[0], err
-        assert not (tmp_path / "a.arhythm").exists() and not (tmp_path / "a.log").exists()
+        assert not (tmp_path / "a.arhythm").exists() and not runlog(tmp_path / "a.arhythm").exists()
 
     @pytest.mark.parametrize("fps", ["0", "-30", "inf", "nan"])
     def test_beats_fps(self, tmp_path, cfg_file, data, capsys, fps):
@@ -407,7 +423,7 @@ class TestMalformedInputs:
                           "--out", str(out))
         self.assert_one_error(rc, err)
         assert err[0].startswith(f"error: {p}: line 1: "), err
-        assert not out.exists() and not out.with_suffix(".log").exists()
+        assert not out.exists() and not runlog(out).exists()
 
     @pytest.mark.parametrize("fps", ["0.0", "-30.0"])
     def test_rhythm_fps(self, tmp_path, cfg_file, data, capsys, fps):
@@ -421,7 +437,7 @@ class TestMalformedInputs:
                           "--out", str(out))
         self.assert_one_error(rc, err)
         assert f"{r}: line 1: rhythm embedding fps must be finite and positive" in err[0], err
-        assert not out.exists() and not out.with_suffix(".log").exists()
+        assert not out.exists() and not runlog(out).exists()
 
     @pytest.mark.parametrize("length", ["9" * 401, str(2 ** 53 + 1), "0"],
                              ids=["401-digits", "2**53+1", "0"])
@@ -500,7 +516,7 @@ class TestNonFiniteCheckpoint:
         assert err[0] == (f"error: {ckpt.with_suffix('.bin')}: "
                           "tensor vf.time_w1 holds a non-finite value"), err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "clip.log", "clip.rhythm", "data", "model.bin", "model.manifest", "tiny.cfg"]
+            "clip.rhythm", "clip.rhythm.log", "data", "model.bin", "model.manifest", "tiny.cfg"]
 
 
 class TestCheckpointConflicts:
