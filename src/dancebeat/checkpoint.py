@@ -1,4 +1,4 @@
-"""Checkpoint format: a UTF-8 manifest plus a raw little-endian float64 blob.
+"""Checkpoint `path`: UTF-8 manifest `<path>.manifest`, little-endian float64 blob `<path>.bin`.
 
 Manifest lines, in this order:
     dancebeat-checkpoint 3
@@ -36,6 +36,10 @@ MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden
               "rhythm_mode", "align_mode")
 
 
+def _files(path) -> tuple[Path, Path]:
+    return Path(f"{path}.manifest"), Path(f"{path}.bin")
+
+
 def _tensor_lines(cfg: RunConfig) -> list[str]:
     """The manifest records of the config's tensors, blob offsets included."""
     lines, off = [], 0
@@ -54,19 +58,18 @@ def _finite(model: TrainedModel, fault) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    path = Path(path)
     _finite(model, lambda msg: NumericalError(f"{path}: {msg}, not written"))
     blob = model.flat.astype("<f8", copy=False).tobytes()
     lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
     lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
     lines += _tensor_lines(model.config)
-    path.with_suffix(".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    path.with_suffix(".bin").write_bytes(blob)
+    manifest, bin_path = _files(path)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bin_path.write_bytes(blob)
 
 
 def load_model(path) -> TrainedModel:
-    path = Path(path)
-    manifest = path.with_suffix(".manifest")
+    manifest, bin_path = _files(path)
     lines = read_lines(manifest)
     if not lines or lines[0] != MAGIC:
         found = repr(lines[0][:40]) if lines else "an empty file"
@@ -90,7 +93,6 @@ def load_model(path) -> TrainedModel:
         raise ParseError(f"checkpoint config: {e}", path=manifest)
 
     # nothing of the blob is read before the manifest is known to describe it
-    bin_path = path.with_suffix(".bin")
     mismatch = lambda n: ParseError(f"{bin_path} ({n} bytes) does not match the manifest's "
                                     f"recorded length and SHA-256", line=2)
     size = bin_path.stat().st_size

@@ -19,9 +19,8 @@ from .align import ContextQueries, align_tensor, mean_pool_align
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .pose import ConditioningFeatures, MusicLatent, PoseSequence
-from .rhythm import (ClipRhythmFeatures, RhythmParams, WaveletBank, baseline_binary_rhythm,
-                     baseline_mean_rhythm, build_wavelet_bank, clip_features,
-                     rhythm_core_tensor)
+from .rhythm import (ClipRhythmFeatures, RhythmParams, baseline_binary_rhythm, baseline_mean_rhythm,
+                     build_wavelet_bank, clip_features, rhythm_core_tensor)
 from .tensor import Tape, Tensor, backward
 
 TIME_FREQ_SCALE = 1000.0  # spreads t in [0,1] across the sinusoid spectrum
@@ -161,7 +160,7 @@ class TrainedModel:
     vf: VelocityFieldParams
     rhythm_net: RhythmParams
     queries: ContextQueries
-    bank: WaveletBank
+    bank: list[np.ndarray]  # the wavelet kernels, shortest period first
     config: RunConfig
     loss_history: list[float]
     flat: np.ndarray

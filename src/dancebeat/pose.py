@@ -15,23 +15,36 @@ from .errors import ConfigError, NumericalError, ParseError
 
 
 @dataclass
-class PoseSequence:
-    """T x J x C keypoint trajectory at a fixed frame rate."""
+class _Matrix:
+    """A finite, nonempty `dims`-D float64 array, at a finite positive `fps` if it has one."""
 
     data: np.ndarray
-    fps: float
+    dims = 2
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ConfigError(f"pose data must be T x J x C, got shape {self.data.shape}")
-        T, J, C = self.data.shape
-        if T < 2 or J < 1 or C not in (2, 3):
-            raise ConfigError(f"invalid pose shape T={T} J={J} C={C}")
+        if self.data.ndim != self.dims or 0 in self.data.shape:
+            raise ConfigError(f"{self.what} must be {self.dims}-D and nonempty, "
+                              f"got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
-            raise ConfigError("pose data contains non-finite values")
-        if not 0 < self.fps < math.inf:
-            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
+            raise ConfigError(f"{self.what} contains non-finite values")
+        if not 0 < getattr(self, "fps", 1.0) < math.inf:
+            raise ConfigError(f"{self.what} fps must be finite and positive, got {self.fps}")
+
+
+@dataclass
+class PoseSequence(_Matrix):
+    """T x J x C keypoint trajectory at a fixed frame rate."""
+
+    fps: float
+    what = "pose data"
+    dims = 3
+
+    def __post_init__(self):
+        super().__post_init__()
+        T, J, C = self.data.shape
+        if T < 2 or C not in (2, 3):
+            raise ConfigError(f"invalid pose shape T={T} J={J} C={C}")
 
     @property
     def frames(self) -> int:
@@ -67,22 +80,6 @@ class BeatGrid:
             if f <= prev:
                 raise ConfigError("beat frames must be strictly increasing")
             prev = f
-
-
-@dataclass
-class _Matrix:
-    """A finite, nonempty 2-D float64 array, at a finite positive `fps` if it has one."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2 or 0 in self.data.shape:
-            raise ConfigError(f"{self.what} must be 2-D and nonempty, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ConfigError(f"{self.what} contains non-finite values")
-        if not 0 < getattr(self, "fps", 1.0) < math.inf:
-            raise ConfigError(f"{self.what} fps must be finite and positive, got {self.fps}")
 
 
 class ConditioningFeatures(_Matrix):
@@ -310,8 +307,7 @@ def parsed(cls, path, line: int, *args):
 
 
 def save_pose_sequence(p: PoseSequence, path) -> None:
-    T, J, C = p.data.shape
-    write_matrix(path, (T, J, C, float(p.fps)), p.data.reshape(T, J * C))
+    write_matrix(path, (*p.data.shape, float(p.fps)), p.data.reshape(p.frames, -1))
 
 
 def load_pose_sequence(path) -> PoseSequence:

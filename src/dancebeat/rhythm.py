@@ -25,18 +25,9 @@ from .pose import (PoseSequence, _Matrix, local_minima, motion_diff, parsed, rea
 from .tensor import Tensor
 
 
-@dataclass
-class WaveletBank:
-    """Real cosine-phase Gabor kernels on a dyadic period ladder."""
-
-    scales: int
-    kernels: list[np.ndarray]
-    periods: list[float]
-
-
-def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
-    """Kernels with period base_period * 2^(s-1), sigma = period/2,
-    truncated at +-ceil(3 sigma), mean-subtracted then L2-normalized."""
+def build_wavelet_bank(scales: int, base_period: float) -> list[np.ndarray]:
+    """Real cosine-phase Gabor kernels, shortest period first: base_period * 2^s for
+    scale s, sigma = period/2, truncated at +-ceil(3 sigma), mean-subtracted, L2-normalized."""
     if scales < 1:
         raise ConfigError(f"need at least one scale, got {scales}")
     if base_period < 2:
@@ -45,7 +36,7 @@ def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
     if not math.log2(base_period) + scales - 1 <= 16:
         raise ConfigError(f"longest wavelet period {base_period} * 2^{scales - 1} "
                           f"exceeds 2^16 frames")
-    kernels, periods = [], []
+    kernels = []
     for s in range(scales):
         lam = base_period * 2.0 ** s
         sigma = lam / 2.0
@@ -55,8 +46,7 @@ def build_wavelet_bank(scales: int, base_period: float) -> WaveletBank:
         k -= k.mean()
         k /= np.linalg.norm(k)
         kernels.append(k)
-        periods.append(lam)
-    return WaveletBank(scales=scales, kernels=kernels, periods=periods)
+    return kernels
 
 
 class RhythmParams(SimpleNamespace):
@@ -108,15 +98,15 @@ class RhythmEmbedding(_Matrix):
     what = "rhythm embedding"
 
 
-def _conv_cols(signal_2d: np.ndarray, bank: WaveletBank) -> np.ndarray:
+def _conv_cols(signal_2d: np.ndarray, bank: list[np.ndarray]) -> np.ndarray:
     """Reflect-padded, length-preserving cross-correlation of every column of
     (T, J) with every bank kernel -> (T, J, S): one reflect-pad for the
     longest kernel, then one windowed product per kernel."""
     T, J = signal_2d.shape
-    P = max(k.size for k in bank.kernels) // 2
+    P = max(k.size for k in bank) // 2
     padded = np.ascontiguousarray(signal_2d[tz.reflect_indices(T, P)].T)  # (J, T + 2P)
-    out = np.empty((T, J, bank.scales))
-    for s, k in enumerate(bank.kernels):
+    out = np.empty((T, J, len(bank)))
+    for s, k in enumerate(bank):
         p = k.size // 2
         win = sliding_window_view(padded[:, P - p:P + p + T], k.size, axis=1)  # (J, T, L)
         out[:, :, s] = np.dot(win, k).T
@@ -142,7 +132,7 @@ def fusion_column(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
     return column
 
 
-def clip_features(p: PoseSequence, bank: WaveletBank, bins: int) -> ClipRhythmFeatures:
+def clip_features(p: PoseSequence, bank: list[np.ndarray], bins: int) -> ClipRhythmFeatures:
     m = motion_diff(p)
     J = m.magnitude.shape[1]
     # one filtering pass over the (T-1, 3J) stack: magnitude, then x, then y
@@ -189,13 +179,14 @@ def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple
     return full, gate
 
 
-def extract_rhythm(p: PoseSequence, bank: WaveletBank, params: RhythmParams) -> RhythmEmbedding:
+def extract_rhythm(p: PoseSequence, bank: list[np.ndarray],
+                   params: RhythmParams) -> RhythmEmbedding:
     feats = clip_features(p, bank, params.bins)
     full, _gate = rhythm_core_tensor(feats, params)
     return RhythmEmbedding(data=full.data.copy(), fps=p.fps)
 
 
-def scale_energy(p: PoseSequence, bank: WaveletBank) -> np.ndarray:
+def scale_energy(p: PoseSequence, bank: list[np.ndarray]) -> np.ndarray:
     """Frame-averaged wavelet energy per scale; argmax marks the dominant
     oscillation period of the clip."""
     w = _conv_cols(motion_diff(p).magnitude, bank)

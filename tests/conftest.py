@@ -99,10 +99,10 @@ def conv1d_same(signal, kernel) -> Tensor:
 def conv_cols_loop(signal_2d: np.ndarray, bank) -> np.ndarray:
     """conv1d_same of each column against each kernel -> (T, J, S)."""
     T, J = signal_2d.shape
-    out = np.empty((T, J, bank.scales))
+    out = np.empty((T, J, len(bank)))
     for j in range(J):
         col = Tensor(signal_2d[:, j])
-        for s, k in enumerate(bank.kernels):
+        for s, k in enumerate(bank):
             out[:, j, s] = conv1d_same(col, k).data
     return out
 

@@ -32,7 +32,7 @@ class TestCheckpointRoundTrip:
         for (name, a), (name2, b) in zip(model.all_tensors(), loaded.all_tensors()):
             assert name == name2
             assert a.data.tobytes() == b.data.tobytes(), name
-        for ka, kb in zip(model.bank.kernels, loaded.bank.kernels):
+        for ka, kb in zip(model.bank, loaded.bank):
             assert ka.tobytes() == kb.tobytes()
         assert loaded.config == model.config
 

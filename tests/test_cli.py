@@ -186,6 +186,16 @@ class TestTrainGenerateEvaluate:
         assert run("--config", cfg_file, "evaluate", "--data", str(data)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_outs_with_suffixes_keep_both_checkpoints(self, tmp_path, cfg_file):
+        data = tmp_path / "data"
+        assert run("--config", cfg_file, "synth", "--out", str(data), "--n-clips", "2") == 0
+        for seed, out in (("8", "model.v1"), ("9", "model.v2")):
+            assert run("--config", cfg_file, "--seed", seed, "train", "--data", str(data),
+                       "--out", str(tmp_path / out)) == 0
+        assert sorted(p.name for p in tmp_path.glob("model.*") if p.suffix != ".log") == [
+            "model.v1.bin", "model.v1.manifest", "model.v2.bin", "model.v2.manifest"]
+        assert "config seed 8" in (tmp_path / "model.v1.manifest").read_text().splitlines()
+
     def test_train_reports_wall_and_cpu_time(self, tmp_path, cfg_file, trained, capsys):
         data, _ = trained
         rc, err = run_err(capsys, "--config", cfg_file, "train", "--data", str(data),

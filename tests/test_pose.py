@@ -25,6 +25,21 @@ class TestPoseSequence:
         with pytest.raises(ConfigError, match=f"C={coords}"):
             pose.PoseSequence(data=np.zeros((4, 2, coords)), fps=30)
 
+    @pytest.mark.parametrize("data, fps, message", [
+        (np.zeros((4, 2)), 30, "pose data must be 3-D and nonempty, got shape (4, 2)"),
+        (np.zeros((4, 0, 2)), 30, "pose data must be 3-D and nonempty, got shape (4, 0, 2)"),
+        (np.where(np.arange(8).reshape(4, 1, 2) == 5, np.nan, 0.0), 30,
+         "pose data contains non-finite values"),
+        (np.zeros((4, 2, 2)), 0, "pose data fps must be finite and positive, got 0"),
+        (np.zeros((4, 2, 2)), -1, "pose data fps must be finite and positive, got -1"),
+        (np.zeros((4, 2, 2)), np.inf, "pose data fps must be finite and positive, got inf"),
+        (np.zeros((1, 2, 2)), 30, "invalid pose shape T=1 J=2 C=2"),
+    ], ids=["2-D", "J=0", "nan", "fps=0", "fps=-1", "fps=inf", "T=1"])
+    def test_refusal_message(self, data, fps, message):
+        with pytest.raises(ConfigError) as e:
+            pose.PoseSequence(data=data, fps=fps)
+        assert str(e.value) == message
+
 
 class TestMotionDiff:
     def test_constant_pose(self):

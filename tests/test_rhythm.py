@@ -21,14 +21,16 @@ def tiny_params(rng, scales=2, bins=4, dim=3):
 class TestWaveletBank:
     def test_zero_mean_unit_norm(self):
         bank = rhythm.build_wavelet_bank(4, 4)
-        for k in bank.kernels:
+        for k in bank:
             assert abs(k.sum()) < 1e-9
             assert abs(np.linalg.norm(k) - 1) < 1e-9
             assert len(k) % 2 == 1
 
     def test_dyadic_periods(self):
+        # kernel s has period 4 * 2**s and sigma half of it, truncated at +-ceil(3 sigma)
         bank = rhythm.build_wavelet_bank(4, 4)
-        assert bank.periods == [4, 8, 16, 32]
+        periods = [4 * 2 ** s for s in range(len(bank))]
+        assert [len(k) for k in bank] == [2 * math.ceil(1.5 * lam) + 1 for lam in periods]
 
     def test_sub_nyquist_rejected(self):
         with pytest.raises(ConfigError):
@@ -38,11 +40,12 @@ class TestWaveletBank:
         # response to the kernel's own period beats a 4x longer period by >= 3x
         bank = rhythm.build_wavelet_bank(2, 8)
         t = np.arange(256, dtype=np.float64)
-        for s, lam in enumerate(bank.periods):
+        for s, k in enumerate(bank):
+            lam = 8 * 2 ** s
             on = np.sin(2 * math.pi * t / lam)
             off = np.sin(2 * math.pi * t / (4 * lam))
-            r_on = np.abs(conv1d_same(Tensor(on), bank.kernels[s]).data).max()
-            r_off = np.abs(conv1d_same(Tensor(off), bank.kernels[s]).data).max()
+            r_on = np.abs(conv1d_same(Tensor(on), k).data).max()
+            r_off = np.abs(conv1d_same(Tensor(off), k).data).max()
             assert r_on >= 3 * r_off
 
 
@@ -56,14 +59,14 @@ class TestWaveletFeatures:
 
     def test_impulse_reproduces_kernel(self):
         bank = rhythm.build_wavelet_bank(1, 4)
-        L = len(bank.kernels[0])
+        L = len(bank[0])
         T = 4 * L
         # one unit step in x between frames 2L and 2L + 1: a unit magnitude impulse at 2L
         data = np.zeros((T + 1, 1, 2))
         data[2 * L + 1:, 0, 0] = 1.0
         w = rhythm.clip_features(PoseSequence(data=data, fps=30), bank, 4).wavelet
         lo = 2 * L - L // 2
-        assert relerr(w[lo:lo + L, 0, 0], bank.kernels[0][::-1]) < 1e-12
+        assert relerr(w[lo:lo + L, 0, 0], bank[0][::-1]) < 1e-12
 
     def test_joint_permutation_equivariance(self, rng):
         bank = rhythm.build_wavelet_bank(2, 2)
@@ -88,7 +91,7 @@ class TestScaleComponents:
 
     def test_brute_force_match(self, rng):
         bank = rhythm.build_wavelet_bank(1, 2)
-        k = bank.kernels[0]
+        k = bank[0]
         p = PoseSequence(data=rng.uniform(0, 1, (6, 1, 2)), fps=30)
         mx = rhythm.clip_features(p, bank, 4).mx
         sig = motion_diff(p).diffs[:, 0, 0]
@@ -243,7 +246,8 @@ class TestFuseAndExtract:
         s_fast = int(np.argmax(rhythm.scale_energy(fast, bank)))
         s_slow = int(np.argmax(rhythm.scale_energy(slow, bank)))
         assert s_fast != s_slow
-        assert bank.periods[s_fast] < bank.periods[s_slow]
+        periods = [4 * 2 ** s for s in range(len(bank))]
+        assert periods[s_fast] < periods[s_slow]
 
     def test_gradient_vs_fd(self, rng):
         bank = rhythm.build_wavelet_bank(2, 2)
