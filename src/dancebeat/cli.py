@@ -154,8 +154,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     if args.wav:
         grid = metrics.detect_latent_beats(z, cfg.rel_threshold,
                                            fps=p.fps * cfg.latent_len / p.frames)
-        wav = clicktrack.render_clicks(grid, duration_s=p.frames / p.fps)
-        clicktrack.write_wav(wav, args.wav)
+        clicktrack.write_wav(clicktrack.render_clicks(grid, duration_s=p.frames / p.fps), args.wav)
     pose.save_latent(z, args.out)
     _write_runlog(cfg, args)
     print(f"generated latent -> {args.out}")

@@ -218,7 +218,7 @@ class Adam:
                  eps: float = 1e-8):
         self.flat = flat
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m, self.v, self._s = (np.zeros_like(flat) for _ in range(3))
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
         self.step_count = 0
 
     def step(self, g: np.ndarray) -> None:
@@ -226,7 +226,7 @@ class Adam:
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
-        m, v, s = self.m, self.v, self._s
+        m, v, s = self.m, self.v, np.empty_like(g)
         m *= self.b1
         m += np.multiply(g, 1 - self.b1, out=s)
         v *= self.b2

@@ -97,9 +97,6 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         self.slot._accum(g)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # operator sugar
     def __add__(self, other):
         return add(self, other)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dancebeat import flowgen
+from dancebeat import clicktrack, flowgen
 from dancebeat import tensor as tz
 from dancebeat.align import segment_slots
 from dancebeat.errors import ConfigError, ShapeError
@@ -365,8 +365,8 @@ class adam_oracle:
 
 
 # ---------------------------------------------------------------------------
-# the sampler with guidance built in, and the WAV header reader (oracles for
-# flowgen.generate and the WAV writer)
+# the sampler with guidance built in, the whole-window click track and the
+# WAV header reader (oracles for flowgen.generate and the streamed WAV writer)
 
 
 def euler_sample(params, rhythm, cond, latent_len: int, steps: int, cfg_scale: float,
@@ -383,6 +383,33 @@ def euler_sample(params, rhythm, cond, latent_len: int, steps: int, cfg_scale: f
                                                   cfg_scale)
     shape = (latent_len, latent_dim or params.latent_dim)
     return flowgen.euler_sample(field, shape, steps, seed)
+
+
+def render_clicks_whole(beats, duration_s: float, sample_rate: int = 44100) -> np.ndarray:
+    """The click track as one float64 array over the whole window: each
+    beat's burst overlap-added in beat order, then peak-normalized."""
+    out = np.zeros(int(round(duration_s * sample_rate)))
+    burst_n = int(round(clicktrack.CLICK_LEN_S * sample_rate))
+    t = np.arange(burst_n) / sample_rate
+    burst = (np.exp(-t / clicktrack.CLICK_DECAY_S)
+             * np.sin(2 * math.pi * clicktrack.CLICK_FREQ_HZ * t))
+    for f in beats.beat_frames:
+        s0 = int(round(f / beats.fps * sample_rate))
+        seg = min(burst_n, out.size - s0)
+        out[s0:s0 + seg] += burst[:seg]
+    peak = np.abs(out).max()
+    if peak > 0:
+        out *= clicktrack.PEAK / peak
+    return out
+
+
+def wav_bytes_whole(samples: np.ndarray, sample_rate: int) -> bytes:
+    """The 16-bit mono WAV file of `samples` in [-1, 1], quantized in one array."""
+    data = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    hdr = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE",
+                      b"fmt ", 16, 1, 1, sample_rate, sample_rate * 2, 2, 16,
+                      b"data", data.nbytes)
+    return hdr + data.tobytes()
 
 
 def read_wav_header(path) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,19 @@ class TestParameterVector:
             opt.step(flowgen._take_grads(tensors))
             want = np.concatenate([t.data for t in ref_tensors], axis=None)
             assert model.flat.tobytes() == want.tobytes(), step
+
+    def test_adam_holds_only_m_and_v_between_steps(self):
+        flat = tiny_model(tiny_tc(hidden=64)).flat  # large beside the optimizer's own objects
+        tracemalloc.start()
+        try:
+            opt = flowgen.Adam(flat, 3e-3, 0.9, 0.999)
+            for _ in range(3):
+                opt.step(np.ones_like(flat))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # m and v, and no third parameter-sized vector beside them
+        assert 2 * flat.nbytes <= held < 2.5 * flat.nbytes, (held, flat.nbytes)
 
 
 class TestAblationModes:
