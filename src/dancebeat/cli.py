@@ -39,6 +39,22 @@ def _blas_one_thread() -> None:
     set_threads(1)
 
 
+@functools.cache
+def _fixed_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 16 MiB,
+    once per process, so a training step reuses the heap the last one freed
+    rather than faulting it in again (README, "Threads"). Where the C library
+    has no `mallopt`, do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
 def _clip_ids(data_dir: Path) -> list[str]:
     manifest = data_dir / "manifest.txt"
     if not manifest.exists():
@@ -313,6 +329,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     _blas_one_thread()
+    _fixed_malloc_thresholds()
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:

@@ -355,6 +355,7 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                 raise NumericalError(
                     f"non-finite gradient norm at epoch {epoch}, batch {b0 // cfg.batch_size}")
             opt.step(g)
+            del g  # Adam is done with it: free it before the next batch's forward
             epoch_losses.append(batch_loss / len(batch))
         model.loss_history.append(float(np.mean(epoch_losses)))
     return model

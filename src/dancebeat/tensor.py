@@ -4,10 +4,12 @@ Everything learnable in the pipeline runs on this module. Arrays are
 row-major numpy float64 throughout. A Tape records each differentiable
 operation as its output's gradient slot and a backward closure that holds
 its inputs' slots and only the arrays its formula reads, so the forward
-frees every other value as soon as it drops it. Only leaves keep a
-gradient: backward drops each intermediate's once it has passed it on.
-Gradient arrays are never written in place, so one array may be the
-gradient of several tensors at once.
+frees every other value as soon as it drops it. Backward spends the tape:
+it drops each record once its closure has run, so what a node saved is
+freed as soon as backward has passed it, and a tape is unwound once. Only
+leaves keep a gradient: backward drops each intermediate's once it has
+passed it on. Gradient arrays are never written in place, so one array
+may be the gradient of several tensors at once.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple["GradSlot", object]] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -426,8 +429,9 @@ def backward(loss: Tensor) -> None:
     that recorded the loss.
 
     Intermediate gradients are not kept: each is dropped once passed on, so
-    after the call only leaves hold one. Repeated calls without zeroing
-    accumulate into the leaves, matching the usual reverse-mode convention.
+    after the call only leaves hold one, added to any a leaf held before.
+    The tape is spent: each record is dropped once its closure has run, so
+    a second call on the same tape raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -437,8 +441,13 @@ def backward(loss: Tensor) -> None:
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is None:
         raise ContractError("backward needs the tape that recorded the loss to be active")
+    if tape._spent:
+        raise ContractError("backward has already unwound this tape; record a new one")
+    tape._spent = True
     loss._accum(np.ones_like(loss.data))
-    for slot, fn in reversed(tape._records):
+    records = tape._records
+    while records:
+        slot, fn = records.pop()  # rebinding fn frees the last closure and what it saved
         g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)

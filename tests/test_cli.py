@@ -1,6 +1,8 @@
 import ctypes
+import platform
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +317,65 @@ class TestBlasThreads:
         finally:
             cli._blas_one_thread.cache_clear()  # later commands pin the real library
         assert rc == 0 and err == [], err
+
+
+class TestMallocThresholds:
+    def test_main_sets_them_once_per_process(self, tmp_path, cfg_file, monkeypatch):
+        calls, real_cdll = [], ctypes.CDLL
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **kw: (
+            libc if name is None else real_cdll(name, *a, **kw)))
+        cli._fixed_malloc_thresholds.cache_clear()
+        try:
+            for i in range(2):
+                assert run("--config", cfg_file, "synth", "--out", str(tmp_path / f"d{i}"),
+                           "--n-clips", "1") == 0
+        finally:
+            cli._fixed_malloc_thresholds.cache_clear()  # later commands set the real ones
+        assert calls == [(-3, 4 << 20), (-1, 16 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("loader", ["no mallopt", "no library"])
+    def test_without_mallopt_commands_still_run(self, tmp_path, cfg_file, capsys,
+                                                monkeypatch, loader):
+        real_cdll = ctypes.CDLL
+
+        def cdll(name, *a, **kw):
+            if name is not None:
+                return real_cdll(name, *a, **kw)
+            if loader == "no library":
+                raise OSError("no libc")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._fixed_malloc_thresholds.cache_clear()
+        try:
+            assert cli._fixed_malloc_thresholds() is None
+            rc, err = run_err(capsys, "--config", cfg_file, "synth",
+                              "--out", str(tmp_path / "d"), "--n-clips", "1")
+        finally:
+            cli._fixed_malloc_thresholds.cache_clear()
+        assert rc == 0 and err == [], err
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+    def test_warm_long_clip_train_steps_barely_fault(self, tmp_path, monkeypatch):
+        import resource
+
+        # the benchmark's long_clip shape: 20 s clips on a 200-step latent; 4 clips
+        # make one batch, so each of the 4 epochs ends in one Adam step
+        (tmp_path / "long.cfg").write_text("duration_s = 20.0\nlatent_len = 200\nepochs = 4\n")
+        assert run("--config", str(tmp_path / "long.cfg"), "synth",
+                   "--out", str(tmp_path / "d"), "--n-clips", "4") == 0
+        cfg, dataset = load_config(tmp_path / "long.cfg"), cli._load_dataset(tmp_path / "d")
+        flowgen.train(dataset, cfg)
+        faults, step = [], flowgen.Adam.step
+        monkeypatch.setattr(flowgen.Adam, "step", lambda opt, g: (
+            step(opt, g), faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)))
+        flowgen.train(dataset, cfg)
+        # Counted from the warm call's first step, which may regrow a heap that
+        # glibc trimmed when the last call returned. Each later step reuses what
+        # the one before it freed: 8,000-11,000 faults over the three steps under
+        # glibc's own sliding thresholds, 0-200 with the fixed ones.
+        assert len(faults) == 4 and faults[-1] - faults[0] < 1000, faults
 
 
 def run_err(capsys, *argv):

@@ -253,6 +253,7 @@ class TestTrain:
         with Tape():
             rcond = flowgen.rhythm_condition_tensor(feats, model)
             backward(cfm_loss(model, z1.data, z0, 0.5, rcond, cond))
+        with Tape():
             backward(cfm_loss(model, z1.data, z0, 0.5, None, None))
         peak = {n: 0.0 if t.grad is None else float(np.abs(t.grad).max())
                 for n, t in model.all_tensors()}
@@ -306,6 +307,7 @@ class TestClipStepMemory:
                 rcond = flowgen.rhythm_condition_tensor(feats, model)
                 loss = cfm_loss(model, z1, z0, 0.4, rcond, cond)
                 forward = tracemalloc.get_traced_memory()[0] - base
+                slots = [out for out, _ in tape._records]
                 tracemalloc.reset_peak()
                 backward(loss)
                 peak = tracemalloc.get_traced_memory()[1] - base
@@ -314,8 +316,25 @@ class TestClipStepMemory:
         # what the forward holds and the backward peak, in bytes: the tape
         # keeps only the arrays a backward formula reads
         assert forward <= 11e6 and peak <= 15e6, (forward, peak)
-        assert all(out.grad is None for out, _ in tape._records)
+        assert all(out.grad is None for out in slots)
         assert all(t.grad is not None for n, t in model.all_tensors() if n.startswith("rhythm."))
+
+    def test_train_frees_each_step_before_the_next(self, tmp_path):
+        # the default shape, 4 clips, two one-batch epochs: a step's tape and
+        # gradient vector are gone before the next step's forward
+        from dancebeat import cli
+
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "4"]) == 0
+        dataset = cli._load_dataset(tmp_path / "d")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(dataset, RunConfig(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 8.74 MiB when the tape's closures and `g` lived on, 7.51 MiB without them
+        assert peak < 8.1 * 2**20, peak / 2**20
 
 
 class TestParameterVector:

@@ -251,12 +251,17 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0])
 
     def test_repeated_backward_accumulates(self):
+        # each tape's backward adds into the leaves; a spent tape cannot run again
         x = Tensor([1.0], requires_grad=True)
-        with Tape() as tape:
+        with Tape():
             loss = tz.tsum(tz.mul(x, x))
             backward(loss)
             g1 = x.grad.copy()
-            backward(loss)
+            with pytest.raises(ContractError, match="already unwound this tape"):
+                backward(loss)
+        assert np.array_equal(x.grad, g1)
+        with Tape():
+            backward(tz.tsum(tz.mul(x, x)))
         assert np.array_equal(x.grad, 2 * g1)
 
     def test_only_leaves_keep_a_gradient(self, rng):
@@ -265,9 +270,24 @@ class TestBackward:
         b = Tensor(rng.standard_normal(2), requires_grad=True)
         with Tape() as tape:
             h = tz.relu(tz.linear(x, w, b))
-            backward(tz.tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1))))
-        assert all(out.grad is None for out, _ in tape._records)
+            loss = tz.tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1)))
+            slots = [out for out, _ in tape._records]
+            backward(loss)
+        assert all(out.grad is None for out in slots)
         assert all(t.grad is not None for t in (x, w, b))
+
+    def test_backward_spends_the_tape(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        with Tape() as tape:
+            h = tz.relu(x)
+            saved = weakref.ref(h.data)  # matmul's backward reads it
+            loss = tz.tsum(tz.matmul(h, w))
+            del h
+            assert len(tape) == 3 and saved() is not None
+            backward(loss)
+            assert len(tape) == 0 and saved() is None
+        assert np.allclose(w.grad, np.maximum(x.data, 0).sum(axis=0)[:, None].repeat(2, 1))
 
 
 class TestWhatTheTapeKeeps:
