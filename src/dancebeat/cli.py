@@ -75,8 +75,10 @@ def _write_runlog(cfg: RunConfig, args) -> None:
 
 
 def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:
-    """The checkpoint's model, once the run config agrees with every field
-    the checkpoint fixes."""
+    """The checkpoint's model, once the run config agrees with every field it
+    fixes; with no path, the untrained model `train` starts from."""
+    if path is None:
+        return flowgen.init_model(cfg)
     model = checkpoint.load_model(path)
     for key in checkpoint.MODEL_KEYS:
         ours, theirs = getattr(cfg, key), getattr(model.config, key)
@@ -116,18 +118,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         pose.save_conditioning(c, out / f"{cid}.cond")
         manifest_lines.append(f"{cid} tempo={tempo!r} seed={clip_seed}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    _write_runlog(cfg, args)
     print(f"wrote {args.n_clips} clips to {out}")
     return 0
 
 
 def cmd_extract(cfg: RunConfig, args) -> int:
     p = pose.load_pose_sequence(args.pose)
-    # without a checkpoint, the rhythm net an untrained model starts from
-    model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
+    model = _load_checkpoint(cfg, args.ckpt)
     r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
     rhythm.save_rhythm(r, args.out)
-    _write_runlog(cfg, args)
     print(f"rhythm embedding {r.data.shape[0]}x{r.data.shape[1]} -> {args.out}")
     return 0
 
@@ -138,12 +137,10 @@ def cmd_align(cfg: RunConfig, args) -> int:
         raise ConfigError(f"{args.rhythm} has {D} columns but rhythm_dim is {cfg.rhythm_dim}")
     if (T := r.data.shape[0]) < cfg.latent_len:
         raise ConfigError(f"{args.rhythm} has {T} frames, fewer than latent_len = {cfg.latent_len}")
-    # without a checkpoint, the queries of the untrained model `extract` uses
-    model = _load_checkpoint(cfg, args.ckpt) if args.ckpt else flowgen.init_model(cfg)
+    model = _load_checkpoint(cfg, args.ckpt)
     # pooled the way the model conditions; a checkpoint's align_mode equals cfg's
     a = align_mod.align(r, model.queries, cfg.align_mode)
     rhythm.save_rhythm(a, args.out)
-    _write_runlog(cfg, args)
     print(f"aligned rhythm {a.data.shape[0]}x{a.data.shape[1]} -> {args.out}")
     return 0
 
@@ -154,7 +151,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
     model = flowgen.train(dataset, cfg)
     wall, cpu = time.monotonic() - t0, time.process_time() - c0
     checkpoint.save_model(model, args.out)
-    _write_runlog(cfg, args)
     print(f"trained {len(dataset)} clips for {cfg.epochs} epochs; "
           f"loss {model.loss_history[0]:.4f} -> {model.loss_history[-1]:.4f}")
     print(f"wall time {wall:.1f}s, cpu {cpu:.1f}s", file=sys.stderr)
@@ -172,7 +168,6 @@ def cmd_generate(cfg: RunConfig, args) -> int:
                                            fps=p.fps * cfg.latent_len / p.frames)
         clicktrack.write_wav(clicktrack.render_clicks(grid, duration_s=p.frames / p.fps), args.wav)
     pose.save_latent(z, args.out)
-    _write_runlog(cfg, args)
     print(f"generated latent -> {args.out}")
     return 0
 
@@ -340,7 +335,10 @@ def main(argv=None) -> int:
         if not args.command:
             ap.print_help()
             return 2
-        return _HANDLERS[args.command](cfg, args)
+        rc = _HANDLERS[args.command](cfg, args)
+        if hasattr(args, "out"):  # every command but evaluate
+            _write_runlog(cfg, args)
+        return rc
     except (DanceBeatError, OSError, MemoryError) as e:  # a valid config may not fit
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -131,8 +131,8 @@ def parse_value(key: str, val: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a key=value config file; unknown keys are rejected."""
-    kwargs = {}
+    """Parse a key=value config file; unknown keys and keys set twice are rejected."""
+    kwargs, first = {}, {}
     for ln, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +140,9 @@ def load_config(path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in first:
+            raise ConfigError(f"{path}:{ln}: {key} is set again; line {first[key]} set it first")
+        first[key] = ln
         try:
             kwargs[key] = parse_value(key, val)
         except ConfigError as e:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .pose import BeatGrid, MusicLatent, PoseSequence, local_minima, motion_diff
-from .tensor import reflect_indices
 
 
 @dataclass
@@ -50,8 +49,7 @@ def gaussian_smooth(signal: np.ndarray, sigma: float) -> np.ndarray:
     u = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-(u ** 2) / (2 * sigma ** 2))
     k /= k.sum()
-    idx = reflect_indices(signal.size, half)
-    return np.correlate(signal[idx], k, mode="valid")
+    return np.correlate(np.pad(signal, half, mode="reflect"), k, mode="valid")
 
 
 def _suppress(candidates: list[int], values: np.ndarray, min_separation: int) -> list[int]:

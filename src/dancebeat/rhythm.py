@@ -104,7 +104,7 @@ def _conv_cols(signal_2d: np.ndarray, bank: list[np.ndarray]) -> np.ndarray:
     longest kernel, then one windowed product per kernel."""
     T, J = signal_2d.shape
     P = max(k.size for k in bank) // 2
-    padded = np.ascontiguousarray(signal_2d[tz.reflect_indices(T, P)].T)  # (J, T + 2P)
+    padded = np.ascontiguousarray(np.pad(signal_2d, ((P, P), (0, 0)), "reflect").T)  # (J, T + 2P)
     out = np.empty((T, J, len(bank)))
     for s, k in enumerate(bank):
         p = k.size // 2

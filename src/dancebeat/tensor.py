@@ -88,10 +88,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -99,10 +95,6 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         self.slot._accum(g)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
 
     def __getitem__(self, key):
         return tslice(self, key)
@@ -400,23 +392,6 @@ def layer_norm(a, g, b, eps: float = 1e-5) -> Tensor:
         sa._accum((dx - gm - xhat * gx) * inv)
 
     return _emit(xhat * gd + b.data, (a, g, b), bwd)
-
-
-# ---------------------------------------------------------------------------
-# reflect padding for 1-D convolution
-
-
-def reflect_indices(n: int, pad: int) -> np.ndarray:
-    """Source indices for reflect-padding a length-n signal by `pad` a side.
-
-    Handles pads wider than the signal by repeated reflection.
-    """
-    if n == 1:
-        return np.zeros(1 + 2 * pad, dtype=np.intp)
-    pos = np.arange(-pad, n + pad)
-    period = 2 * (n - 1)
-    q = np.mod(pos, period)
-    return np.where(q < n, q, period - q).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dancebeat.align import segment_slots
 from dancebeat.errors import ConfigError, ShapeError
 from dancebeat.pose import MusicLatent, motion_diff
 from dancebeat.rhythm import phase_bins
-from dancebeat.tensor import Tensor, _emit, reflect_indices
+from dancebeat.tensor import Tensor, _emit
 
 
 def relerr(a: np.ndarray, b: np.ndarray) -> float:
@@ -51,6 +51,18 @@ def phase_histograms(mx: np.ndarray, my: np.ndarray, mag_s: np.ndarray,
     return h
 
 
+def reflect_indices(n: int, pad: int) -> np.ndarray:
+    """Source indices for reflect-padding a length-n signal by `pad` a side,
+    reflecting again where the pad is wider than the signal (oracle for
+    np.pad(mode="reflect"))."""
+    if n == 1:
+        return np.zeros(1 + 2 * pad, dtype=np.intp)
+    pos = np.arange(-pad, n + pad)
+    period = 2 * (n - 1)
+    q = np.mod(pos, period)
+    return np.where(q < n, q, period - q).astype(np.intp)
+
+
 def optimal_match(gen: list[int], truth: list[int], window: float) -> int:
     """Brute-force maximum one-to-one matching (oracle for small grids)."""
 
@@ -78,7 +90,7 @@ def conv1d_same(signal, kernel) -> Tensor:
     the signal only."""
     sig = tz.as_tensor(signal)
     k = np.asarray(kernel, dtype=np.float64)
-    if sig.ndim != 1 or k.ndim != 1:
+    if sig.data.ndim != 1 or k.ndim != 1:
         raise ShapeError(f"conv1d_same expects 1-D operands, got {sig.shape} and {k.shape}")
     L = k.size
     if L % 2 == 0:
@@ -205,7 +217,7 @@ def transpose(a, axes=None) -> Tensor:
     """Permute a tensor's axes, reversed by default."""
     a = tz.as_tensor(a)
     if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+        axes = tuple(reversed(range(a.data.ndim)))
 
     def bwd(g):
         a._accum(g.transpose(np.argsort(axes)))

@@ -270,7 +270,7 @@ class TestOnePassKernels:
 
 @st.composite
 def poses(draw):
-    T, J = draw(st.integers(3, 40)), draw(st.integers(1, 5))
+    T, J = draw(st.integers(2, 40)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return pose.PoseSequence(data=rng.uniform(0, 1, (T, J, 2)), fps=30.0)
 
@@ -291,7 +291,14 @@ class TestRhythmColumns:
         bank = rhythm.build_wavelet_bank(scales, base_period)
         m = pose.motion_diff(p)
         for signal in (m.magnitude, m.diffs[:, :, 0], m.diffs[:, :, 1]):
-            assert relerr(rhythm._conv_cols(signal, bank), conv_cols_loop(signal, bank)) < 1e-12
+            got, want = rhythm._conv_cols(signal, bank), conv_cols_loop(signal, bank)
+            if len(signal) > 1:
+                assert relerr(got, want) < 1e-12
+            else:
+                # one sample pads to a constant window, which a zero-mean kernel
+                # cancels to rounding noise: bound it by |x| * sum|k| instead
+                scale = np.abs(signal).max() * max(np.abs(k).sum() for k in bank)
+                assert np.abs(got - want).max() < 1e-12 * scale
 
     @given(poses(), st.integers(1, 4))
     @PROPERTY

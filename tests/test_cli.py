@@ -138,6 +138,30 @@ class TestExtractAlign:
         assert np.array_equal(rhythm.load_rhythm(a).data, want.data)
 
 
+class TestRunLogs:
+    def test_each_out_command_writes_one_log_and_evaluate_none(self, tmp_path, cfg_file):
+        data, ckpt, r = tmp_path / "data", tmp_path / "model", tmp_path / "clip.rhythm"
+        pose_file, text = str(data / "clip_000.pose"), load_config(cfg_file).to_text()
+        steps = [
+            (["synth", "--out", str(data), "--n-clips", "2"], data / "run.log"),
+            (["train", "--data", str(data), "--out", str(ckpt)], runlog(ckpt)),
+            (["generate", "--ckpt", str(ckpt), "--pose", pose_file, "--out",
+              str(tmp_path / "gen.latent"), "--wav", str(tmp_path / "gen.wav")],
+             runlog(tmp_path / "gen.latent")),
+            (["extract", "--pose", pose_file, "--out", str(r)], runlog(r)),
+            (["align", "--rhythm", str(r), "--out", str(tmp_path / "a"), "--ckpt", str(ckpt)],
+             runlog(tmp_path / "a")),
+            (["evaluate", "--data", str(data), "--ckpt", str(ckpt),
+              "--report", str(tmp_path / "rep.txt")], None),
+        ]
+        for argv, log in steps:
+            before = set(tmp_path.rglob("*.log"))
+            assert run("--config", cfg_file, *argv) == 0
+            assert set(tmp_path.rglob("*.log")) - before == ({log} if log else set())
+            if log:
+                assert log.read_text() == f"command = {argv[0]}\n{text}"
+
+
 class TestTrainGenerateEvaluate:
     @pytest.fixture
     def trained(self, tmp_path, cfg_file):
@@ -226,6 +250,14 @@ class TestTopLevel:
         p.write_text(line + "\n")
         rc, err = run_err(capsys, "--config", str(p), "--print-config")
         assert rc == 1 and len(err) == 1 and "unknown config key" in err[0], err
+
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
+        p = tmp_path / "twice.cfg"
+        p.write_text("epochs=3\n# a comment\nseed = 1\nepochs = 3\n")
+        out = tmp_path / "data"
+        rc, err = run_err(capsys, "--config", str(p), "synth", "--out", str(out))
+        assert rc == 1 and err == [f"error: {p}:4: epochs is set again; line 1 set it first"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["fps = 0.0\n", "hidden = 10\nheads = 4\n"])
     def test_config_refused_as_a_whole_names_its_file(self, tmp_path, capsys, text):
@@ -594,9 +626,11 @@ class TestCheckpointConflicts:
     @pytest.mark.parametrize("align_mode", ["attn", "meanpool"])
     def test_latent_len_mismatch(self, tmp_path, capsys, align_mode):
         train_cfg = tmp_path / "train.cfg"
-        train_cfg.write_text(TINY_CFG + f"latent_len = 50\nalign_mode = {align_mode!r}\n")
+        train_cfg.write_text(TINY_CFG.replace("latent_len = 10", "latent_len = 50")
+                             + f"align_mode = {align_mode!r}\n")
         run_cfg = tmp_path / "run.cfg"
-        run_cfg.write_text(TINY_CFG + f"latent_len = 40\nalign_mode = {align_mode!r}\n")
+        run_cfg.write_text(TINY_CFG.replace("latent_len = 10", "latent_len = 40")
+                           + f"align_mode = {align_mode!r}\n")
         data, ckpt = tmp_path / "data", tmp_path / "model"
         assert run("--config", str(train_cfg), "synth", "--out", str(data), "--n-clips", "1") == 0
         assert run("--config", str(train_cfg), "train", "--data", str(data),

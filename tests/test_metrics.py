@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from dancebeat import metrics, pose
 from dancebeat.errors import ConfigError
 from dancebeat.pose import BeatGrid, MusicLatent, synth_dance, synth_latent
 
-from conftest import optimal_match, relerr
+from conftest import optimal_match, reflect_indices, relerr
 
 
 def grid(frames, length=100, fps=30.0):
@@ -45,6 +47,19 @@ class TestDetectDanceBeats:
         p = pose.PoseSequence(data=data, fps=30)
         det = metrics.detect_dance_beats(p, smooth_sigma=0, min_separation=5)
         assert det.beat_frames == [5]
+
+
+class TestGaussianSmooth:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 2.0, 7.5])
+    def test_matches_direct_sum(self, rng, n, sigma):
+        # sigma 7.5 pads 23 a side, wider than every signal here but the last
+        x = rng.standard_normal(n)
+        half = max(1, math.ceil(3 * sigma))
+        w = [math.exp(-u * u / (2 * sigma * sigma)) for u in range(-half, half + 1)]
+        src = reflect_indices(n, half)
+        brute = [sum(w[j] * x[src[t + j]] for j in range(len(w))) / sum(w) for t in range(n)]
+        assert relerr(metrics.gaussian_smooth(x, sigma), np.array(brute)) < 1e-13
 
 
 class TestDetectLatentBeats:

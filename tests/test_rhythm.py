@@ -11,7 +11,7 @@ from dancebeat.errors import ConfigError
 from dancebeat.pose import PoseSequence, motion_diff, synth_dance
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import conv1d_same, finite_difference, phase_histograms, relerr
+from conftest import conv1d_same, finite_difference, phase_histograms, reflect_indices, relerr
 
 
 def tiny_params(rng, scales=2, bins=4, dim=3):
@@ -95,7 +95,7 @@ class TestScaleComponents:
         p = PoseSequence(data=rng.uniform(0, 1, (6, 1, 2)), fps=30)
         mx = rhythm.clip_features(p, bank, 4).mx
         sig = motion_diff(p).diffs[:, 0, 0]
-        idx = tz.reflect_indices(5, len(k) // 2)
+        idx = reflect_indices(5, len(k) // 2)
         padded = sig[idx]
         brute = np.array([sum(padded[t + l] * k[l] for l in range(len(k))) for t in range(5)])
         assert relerr(mx[:, 0, 0], brute) < 1e-12
