@@ -1,18 +1,18 @@
 """Checkpoint `path`: UTF-8 manifest `<path>.manifest`, little-endian float64 blob `<path>.bin`.
 
 Manifest lines, in this order:
-    dancebeat-checkpoint 3
+    dancebeat-checkpoint 4
     blob <byte length> <sha256 hex digest>
-    config <key> <value>          (every RunConfig field, in field order)
+    <key> = <value>               (`RunConfig.to_text()`: every field, in field order)
     tensor <name> <d1[,d2,...]> <byte offset>
 
-Config values are parsed by the config file's typed parser, never
-evaluated; the tensor lines are `flowgen.layout(config)`'s. Loading checks
-the blob file's size against the recorded length, that length against the
-config and every tensor line against the layout before it reads the blob,
-checks its digest, then that it is finite, as saving does. The blob is
-`TrainedModel.flat`, each tensor's values contiguously in manifest order,
-and the loaded model wraps a copy of it, so a round trip is bit-exact.
+The config lines are read by the config file's parser, never evaluated, and
+must be exactly `to_text()`'s; the tensor lines are `flowgen.layout(config)`'s.
+Loading checks the blob file's size against the recorded length, that length
+against the config and every line against the config's text and layout before
+it reads the blob, checks its digest, then that it is finite, as saving does.
+The blob is `TrainedModel.flat`, each tensor's values contiguously in manifest
+order, and the loaded model wraps a copy of it, so a round trip is bit-exact.
 """
 from __future__ import annotations
 
@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_value
-from .errors import ConfigError, NumericalError, ParseError
+from .config import RunConfig, parse_config
+from .errors import NumericalError, ParseError
 from .flowgen import TrainedModel, build_model, layout, parameter_count
 from .pose import read_lines
 
-MAGIC = "dancebeat-checkpoint 3"
+MAGIC = "dancebeat-checkpoint 4"
 
 # RunConfig fields a checkpoint fixes: model shapes, timeline and ablation switches
 MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden_a",
@@ -61,8 +61,7 @@ def save_model(model: TrainedModel, path) -> None:
     _finite(model, lambda msg: NumericalError(f"{path}: {msg}, not written"))
     blob = model.flat.astype("<f8", copy=False).tobytes()
     lines = [MAGIC, f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"]
-    lines += [f"config {f.name} {getattr(model.config, f.name)!r}" for f in fields(RunConfig)]
-    lines += _tensor_lines(model.config)
+    lines += model.config.to_text().splitlines() + _tensor_lines(model.config)
     manifest, bin_path = _files(path)
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     bin_path.write_bytes(blob)
@@ -77,33 +76,19 @@ def load_model(path) -> TrainedModel:
     blob_rec = lines[1].split(" ") if len(lines) > 1 else []
     if len(blob_rec) != 3 or blob_rec[0] != "blob":
         raise ParseError("expected 'blob <byte length> <sha256>'", 2, manifest)
-
-    kwargs = {}
-    for ln, f in enumerate(fields(RunConfig), start=3):
-        rec = lines[ln - 1].split(" ") if ln <= len(lines) else []
-        if len(rec) != 3 or rec[:2] != ["config", f.name]:
-            raise ParseError(f"expected 'config {f.name} <value>'", ln, manifest)
-        try:
-            kwargs[f.name] = parse_value(f.name, rec[2])
-        except ConfigError as e:
-            raise ParseError(str(e), ln, manifest)
-    try:
-        cfg = RunConfig(**kwargs)
-    except ConfigError as e:
-        raise ParseError(f"checkpoint config: {e}", path=manifest)
+    cfg = parse_config(lines[2:2 + len(fields(RunConfig))], manifest, first=3)
 
     # nothing of the blob is read before the manifest is known to describe it
     mismatch = lambda n: ParseError(f"{bin_path} ({n} bytes) does not match the manifest's "
-                                    f"recorded length and SHA-256", line=2)
+                                    f"recorded length and SHA-256", 2, manifest)
     size = bin_path.stat().st_size
     if blob_rec[1] != str(size):
         raise mismatch(size)
     if blob_rec[1] != str(8 * parameter_count(cfg)):
         raise ParseError(f"the checkpoint config describes {parameter_count(cfg)} values, "
-                         f"the blob holds {size // 8}")
-    first = 3 + len(kwargs)
-    for ln, (w, g) in enumerate(zip(_tensor_lines(cfg) + [None], lines[first - 1:] + [None]),
-                                start=first):
+                         f"the blob holds {size // 8}", 2, manifest)
+    want = cfg.to_text().splitlines() + _tensor_lines(cfg) + [None]
+    for ln, (w, g) in enumerate(zip(want, lines[2:] + [None]), start=3):
         if w != g:
             show = lambda s: "end of manifest" if s is None else repr(s)
             raise ParseError(f"expected {show(w)}, found {show(g)}", ln, manifest)

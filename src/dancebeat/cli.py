@@ -69,9 +69,9 @@ def _load_dataset(data_dir: Path):
 
 
 def _write_runlog(cfg: RunConfig, args) -> None:
-    """The command and its config in `<out>.log`, or `<out>/run.log` for synth."""
+    """`<out>.log`, or `<out>/run.log` for synth: a config file, the command its first comment."""
     path = Path(args.out) / "run.log" if args.command == "synth" else Path(f"{args.out}.log")
-    path.write_text(f"command = {args.command}\n{cfg.to_text()}", encoding="utf-8")
+    path.write_text(f"# command = {args.command}\n{cfg.to_text()}", encoding="utf-8")
 
 
 def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .pose import read_lines
 
 # --print-config labels an unset field "reference default" if listed here, else "desk default"
@@ -114,40 +114,35 @@ class RunConfig:
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def parse_value(key: str, val: str):
-    """The typed value of one config entry, parsed as its field's type."""
-    if key not in _TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    typ = _TYPES[key]
-    if typ is str:
-        # to_text() writes strings via repr, so accept quoted values
-        if len(val) >= 2 and val[0] == val[-1] and val[0] in "'\"":
-            val = val[1:-1]
-        return val
-    try:
-        return typ(val)
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {e}")
-
-
-def load_config(path) -> RunConfig:
-    """Parse a key=value config file; unknown keys and keys set twice are rejected."""
-    kwargs, first = {}, {}
-    for ln, raw in enumerate(read_lines(path), start=1):
+def parse_config(lines: list[str], path, first: int = 1) -> RunConfig:
+    """The run config `lines` set, `lines[0]` being line `first` of `path`:
+    `key = value`, `#` comments and blank lines, each value parsed as its
+    field's type, never evaluated. Unknown keys and keys set twice are refused."""
+    kwargs, seen = {}, {}
+    for ln, raw in enumerate(lines, start=first):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key in first:
-            raise ConfigError(f"{path}:{ln}: {key} is set again; line {first[key]} set it first")
-        first[key] = ln
+        key, eq, val = map(str.strip, line.partition("="))
+        if not eq:
+            raise ParseError(f"expected 'key = value', got {raw.rstrip()!r}", ln, path)
+        if key not in _TYPES:
+            raise ParseError(f"unknown config key {key!r}", ln, path)
+        if key in seen:
+            raise ParseError(f"{key} is set again; line {seen[key]} set it first", ln, path)
+        seen[key] = ln
+        if _TYPES[key] is str and len(val) >= 2 and val[0] == val[-1] and val[0] in "'\"":
+            val = val[1:-1]  # to_text() writes strings via repr
         try:
-            kwargs[key] = parse_value(key, val)
-        except ConfigError as e:
-            raise ConfigError(f"{path}:{ln}: {e}")
+            kwargs[key] = _TYPES[key](val)
+        except ValueError as e:
+            raise ParseError(f"bad value for {key}: {e}", ln, path)
     try:
         return RunConfig(**kwargs)
     except ConfigError as e:
-        raise ConfigError(f"{path}: {e}")
+        raise ParseError(str(e), path=path)
+
+
+def load_config(path) -> RunConfig:
+    """The run config a config file, run log or `--print-config` output sets."""
+    return parse_config(read_lines(path), path)

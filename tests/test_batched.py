@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -270,9 +270,16 @@ class TestOnePassKernels:
 
 @st.composite
 def poses(draw):
-    T, J = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    """Clips of T = 2..40 frames. T comes from the seeded generator: Hypothesis
+    draws an integer range's ends and small values far more often than the rest."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return pose.PoseSequence(data=rng.uniform(0, 1, (T, J, 2)), fps=30.0)
+    T, J = int(rng.integers(2, 41)), draw(st.integers(1, 5))
+    return pose.PoseSequence(rng.uniform(0, 1, (T, J, 2)), fps=30.0)
+
+
+# the two shortest clips, which poses() draws no more often than any other length
+SHORTEST = tuple(pose.PoseSequence(np.random.default_rng(T).uniform(0, 1, (T, 3, 2)), fps=30.0)
+                 for T in (2, 3))
 
 
 @st.composite
@@ -286,6 +293,8 @@ def phase_grids(draw):
 
 class TestRhythmColumns:
     @given(poses(), st.integers(1, 4), st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    @example(SHORTEST[0], 4, 2.0)
+    @example(SHORTEST[1], 4, 2.5)
     @PROPERTY
     def test_wavelet_columns_match_column_loop(self, p, scales, base_period):
         bank = rhythm.build_wavelet_bank(scales, base_period)
@@ -301,6 +310,8 @@ class TestRhythmColumns:
                 assert np.abs(got - want).max() < 1e-12 * scale
 
     @given(poses(), st.integers(1, 4))
+    @example(SHORTEST[0], 4)
+    @example(SHORTEST[1], 3)
     @PROPERTY
     def test_stack_filters_magnitude_x_and_y_each_as_alone(self, p, scales):
         bank = rhythm.build_wavelet_bank(scales, 2.0)
@@ -311,6 +322,8 @@ class TestRhythmColumns:
         assert np.array_equal(feats.my, rhythm._conv_cols(m.diffs[:, :, 1], bank))
 
     @given(poses(), st.integers(1, 3), st.integers(2, 8))
+    @example(SHORTEST[0], 3, 8)
+    @example(SHORTEST[1], 2, 5)
     @PROPERTY
     def test_fusion_contraction_matches_bin_loop(self, p, scales, bins):
         feats = rhythm.clip_features(p, rhythm.build_wavelet_bank(scales, 2.0), bins)

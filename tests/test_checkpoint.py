@@ -94,7 +94,7 @@ class TestRunConfig:
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ParseError, match="unknown config key"):
             load_config(p)
 
     def test_comments_and_blanks(self, tmp_path):
@@ -106,7 +106,7 @@ class TestRunConfig:
     def test_bad_value(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("epochs = soon\n")
-        with pytest.raises(ConfigError, match="bad value"):
+        with pytest.raises(ParseError, match="bad value"):
             load_config(p)
 
 
@@ -123,20 +123,21 @@ class TestCheckpointIntegrity:
         m.write_text(text.replace(old, new, 1))
 
     def test_manifest_carries_every_config_field(self, ckpt):
-        keys = [ln.split()[1] for ln in ckpt.with_suffix(".manifest").read_text().splitlines()
-                if ln.startswith("config ")]
-        assert keys == list(vars(RunConfig()))
+        lines = ckpt.with_suffix(".manifest").read_text().splitlines()
+        assert lines[2:2 + len(vars(RunConfig()))] == tiny_tc().to_text().splitlines()
 
     def test_values_are_parsed_not_evaluated(self, ckpt):
-        self.edit_manifest(ckpt, "config epochs 2", "config epochs (1).__class__(7)")
+        self.edit_manifest(ckpt, "epochs = 2", "epochs = (1).__class__(7)")
         with pytest.raises(ParseError, match="bad value for epochs"):
             load_model(ckpt)
 
     def test_truncated_blob(self, ckpt):
         b = ckpt.with_suffix(".bin")
         b.write_bytes(b.read_bytes()[:1000])
-        with pytest.raises(ParseError, match="SHA-256"):
+        with pytest.raises(ParseError, match="SHA-256") as e:
             load_model(ckpt)
+        assert str(e.value) == (f"{ckpt.with_suffix('.manifest')}: line 2: {b} (1000 bytes) does "
+                                f"not match the manifest's recorded length and SHA-256")
 
     def test_flipped_blob_byte(self, ckpt):
         b = ckpt.with_suffix(".bin")
@@ -148,9 +149,13 @@ class TestCheckpointIntegrity:
 
     def test_config_must_describe_the_blob(self, ckpt):
         # a model this size is never allocated: the blob is checked first
-        self.edit_manifest(ckpt, "config hidden 8", "config hidden 200000")
-        with pytest.raises(ParseError, match="describes"):
+        self.edit_manifest(ckpt, "hidden = 8", "hidden = 200000")
+        with pytest.raises(ParseError, match="describes") as e:
             load_model(ckpt)
+        assert str(e.value) == (
+            f"{ckpt.with_suffix('.manifest')}: line 2: the checkpoint config describes "
+            f"{parameter_count(tiny_tc(hidden=200000))} values, the blob holds "
+            f"{parameter_count(tiny_tc())}")
 
     def test_tensor_record_mismatch(self, ckpt):
         self.edit_manifest(ckpt, "tensor vf.time_b1 8 512", "tensor vf.time_b1 8 520")

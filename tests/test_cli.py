@@ -123,8 +123,8 @@ class TestExtractAlign:
         assert run("--config", cfg_file, "align", "--rhythm", str(r), "--out", str(a)) == 0
         assert sorted(p.name for p in tmp_path.glob("*.log")) == [
             "clip.arhythm.log", "clip.rhythm.log"]
-        assert runlog(r).read_text().splitlines()[0] == "command = extract"
-        assert runlog(a).read_text().splitlines()[0] == "command = align"
+        assert runlog(r).read_text().splitlines()[0] == "# command = extract"
+        assert runlog(a).read_text().splitlines()[0] == "# command = align"
 
     def test_uncheckpointed_pipeline_is_one_untrained_model(self, tmp_path, cfg_file):
         data, r, a = tmp_path / "data", tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
@@ -159,7 +159,7 @@ class TestRunLogs:
             assert run("--config", cfg_file, *argv) == 0
             assert set(tmp_path.rglob("*.log")) - before == ({log} if log else set())
             if log:
-                assert log.read_text() == f"command = {argv[0]}\n{text}"
+                assert log.read_text() == f"# command = {argv[0]}\n{text}"
 
 
 class TestTrainGenerateEvaluate:
@@ -220,7 +220,7 @@ class TestTrainGenerateEvaluate:
                        "--out", str(tmp_path / out)) == 0
         assert sorted(p.name for p in tmp_path.glob("model.*") if p.suffix != ".log") == [
             "model.v1.bin", "model.v1.manifest", "model.v2.bin", "model.v2.manifest"]
-        assert "config seed 8" in (tmp_path / "model.v1.manifest").read_text().splitlines()
+        assert "seed = 8" in (tmp_path / "model.v1.manifest").read_text().splitlines()
 
     def test_train_reports_wall_and_cpu_time(self, tmp_path, cfg_file, trained, capsys):
         data, _ = trained
@@ -256,7 +256,7 @@ class TestTopLevel:
         p.write_text("epochs=3\n# a comment\nseed = 1\nepochs = 3\n")
         out = tmp_path / "data"
         rc, err = run_err(capsys, "--config", str(p), "synth", "--out", str(out))
-        assert rc == 1 and err == [f"error: {p}:4: epochs is set again; line 1 set it first"]
+        assert rc == 1 and err == [f"error: {p}: line 4: epochs is set again; line 1 set it first"]
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["fps = 0.0\n", "hidden = 10\nheads = 4\n"])
@@ -577,15 +577,35 @@ class TestMalformedInputs:
         assert f"click track of {60 / float(fps)} s" in err[0], err
         assert not wav.exists() and not (tmp_path / "g.latent").exists()
 
-    def test_format_2_checkpoint(self, tmp_path, cfg_file, data, capsys):
+    def test_format_3_checkpoint(self, tmp_path, cfg_file, data, capsys):
         ckpt = tmp_path / "model"
         checkpoint.save_model(flowgen.init_model(load_config(cfg_file)), ckpt)
         m = ckpt.with_suffix(".manifest")
-        m.write_text(m.read_text().replace(checkpoint.MAGIC, "dancebeat-checkpoint 2", 1))
+        m.write_text(m.read_text().replace(checkpoint.MAGIC, "dancebeat-checkpoint 3", 1))
         rc, err = run_err(capsys, "--config", cfg_file, "generate", "--ckpt", str(ckpt),
                           "--pose", str(data / "clip_000.pose"), "--out", str(tmp_path / "z"))
         self.assert_one_error(rc, err)
-        assert "dancebeat-checkpoint 2" in err[0], err
+        assert err == [f"error: {m}: line 1: expected 'dancebeat-checkpoint 4', "
+                       f"found 'dancebeat-checkpoint 3'"]
+
+    @pytest.mark.parametrize("edit", ["reorder", "comment", "annotate"])
+    def test_config_line_not_as_to_text_writes_it(self, tmp_path, cfg_file, data, capsys, edit):
+        # each edit leaves a config file that loads, but not the manifest's one spelling
+        ckpt = tmp_path / "model"
+        checkpoint.save_model(flowgen.init_model(load_config(cfg_file)), ckpt)
+        m = ckpt.with_suffix(".manifest")
+        lines = m.read_text().splitlines()
+        k = lines.index("epochs = 2")
+        if edit == "reorder":
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        else:
+            lines[k] = "# epochs = 2" if edit == "comment" else "epochs = 2  # a note"
+        m.write_text("\n".join(lines) + "\n")
+        rc, err = run_err(capsys, "--config", cfg_file, "generate", "--ckpt", str(ckpt),
+                          "--pose", str(data / "clip_000.pose"), "--out", str(tmp_path / "z"))
+        self.assert_one_error(rc, err)
+        want = "epochs = 100" if edit == "comment" else "epochs = 2"  # 100: the default
+        assert err == [f"error: {m}: line {k + 1}: expected {want!r}, found {lines[k]!r}"]
 
     def test_invalid_utf8(self, tmp_path, cfg_file, data, capsys):
         p = data / "clip_000.pose"

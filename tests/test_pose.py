@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dancebeat import checkpoint, flowgen, pose, rhythm
+from dancebeat import checkpoint, cli, flowgen, pose, rhythm
 from dancebeat.config import RunConfig, load_config
 from dancebeat.errors import ConfigError, NumericalError, ParseError
 
@@ -374,12 +376,16 @@ class TestEveryFileKindRoundTrips:
     }))
     @ROUND_TRIP
     def test_config(self, tmp_path_factory, fields):
+        base = tmp_path_factory.getbasetemp()
         save = lambda cfg, path: path.write_text(cfg.to_text(), encoding="utf-8")
-        got = self.round_trip(tmp_path_factory.getbasetemp() / "kind.cfg",
-                              lambda: RunConfig(**fields), save, load_config)
+        got = self.round_trip(base / "kind.cfg", lambda: RunConfig(**fields), save, load_config)
         if got:
             made, loaded = got
             assert loaded == made
+            # a run log and --print-config's labeled text load as config files too
+            cli._write_runlog(made, SimpleNamespace(command="train", out=str(base / "kind")))
+            (base / "labeled.cfg").write_text(made.to_text(labeled=True), encoding="utf-8")
+            assert load_config(base / "kind.log") == load_config(base / "labeled.cfg") == made
 
     @given(fields=st.fixed_dictionaries({
         "blocks": st.integers(1, 2) | st.integers(-1, 2),
