@@ -84,8 +84,9 @@ def load_model(path) -> TrainedModel:
     size = bin_path.stat().st_size
     if blob_rec[1] != str(size):
         raise mismatch(size)
-    if blob_rec[1] != str(8 * parameter_count(cfg)):
-        raise ParseError(f"the checkpoint config describes {parameter_count(cfg)} values, "
+    count = parameter_count(cfg)
+    if blob_rec[1] != str(8 * count):
+        raise ParseError(f"the checkpoint config describes {count} values, "
                          f"the blob holds {size // 8}", 2, manifest)
     want = cfg.to_text().splitlines() + _tensor_lines(cfg) + [None]
     for ln, (w, g) in enumerate(zip(want, lines[2:] + [None]), start=3):

@@ -9,7 +9,7 @@ the rhythm extractor, and the alignment queries with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,8 +274,10 @@ def layout(cfg: RunConfig) -> tz.Layout:
 
 
 def parameter_count(cfg: RunConfig) -> int:
-    """Number of float64 values in `flat`, summed over the layout's shapes."""
-    return tz.layout_size(layout(cfg))
+    """Number of float64 values in `flat`: the layout's size with one block plus
+    one block's size per further block, so any `blocks` costs the same to count."""
+    one, two = (tz.layout_size(layout(replace(cfg, blocks=b))) for b in (1, 2))
+    return one + (cfg.blocks - 1) * (two - one)
 
 
 def build_model(cfg: RunConfig, flat: np.ndarray,

@@ -72,22 +72,31 @@ class RhythmParams(SimpleNamespace):
 
 @dataclass
 class ClipRhythmFeatures:
-    """Pose-derived constants reused across training steps for one clip.
+    """Pose-derived constants reused across training steps for one clip:
+    only what `rhythm_core_tensor` reads.
 
     Gradients never flow into these; they are functions of the input pose
-    and the fixed wavelet bank only.
+    and the fixed wavelet bank only. `magnitude` and `wavelet` are views of
+    `joint_input`. `mx` and `my`, the (T-1, J, S) filtered x and y
+    displacements, are not stored: each access refilters `pose` through
+    `bank`, and no `src/` code reads them.
     """
 
-    magnitude: np.ndarray   # (T-1, J)
-    wavelet: np.ndarray     # (T-1, J, S) signed responses of the magnitude signal
-    mx: np.ndarray          # (T-1, J, S) filtered x displacement
-    my: np.ndarray          # (T-1, J, S) filtered y displacement
+    joint_input: np.ndarray  # (T-1, J, 1+S): each joint's speed, then its S wavelet responses
     mag_s: np.ndarray       # (T-1, J, S) per-scale magnitude sqrt(mx^2 + my^2)
     # (T-1, J, S) integer: where the joint's scale-s magnitude lands in the
     # row-major (T-1, K*S + S) fusion input, t*(K*S + S) + k*S + s for the
     # phase bin k, 0 <= k < bins, that holds its phase at frame t
     column: np.ndarray
     bins: int
+    pose: PoseSequence
+    bank: list[np.ndarray]
+
+    magnitude = property(lambda self: self.joint_input[:, :, 0])  # (T-1, J)
+    # (T-1, J, S) signed responses of the magnitude signal
+    wavelet = property(lambda self: self.joint_input[:, :, 1:])
+    mx = property(lambda self: _filtered(self.pose, self.bank)[2])
+    my = property(lambda self: _filtered(self.pose, self.bank)[3])
 
 
 @dataclass
@@ -132,25 +141,29 @@ def fusion_column(mx: np.ndarray, my: np.ndarray, bins: int) -> np.ndarray:
     return column
 
 
-def clip_features(p: PoseSequence, bank: list[np.ndarray], bins: int) -> ClipRhythmFeatures:
+def _filtered(p: PoseSequence, bank: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The (T-1, J) speed, then the (T-1, J, S) wavelet responses of the speed,
+    the x and the y displacement, from one filtering pass over their (T-1, 3J) stack."""
     m = motion_diff(p)
     J = m.magnitude.shape[1]
-    # one filtering pass over the (T-1, 3J) stack: magnitude, then x, then y
     f = _conv_cols(np.concatenate([m.magnitude, m.diffs[:, :, 0], m.diffs[:, :, 1]], axis=1),
                    bank)
-    mx, my = f[:, J:2 * J], f[:, 2 * J:]
-    return ClipRhythmFeatures(magnitude=m.magnitude, wavelet=f[:, :J], mx=mx, my=my,
+    return m.magnitude, f[:, :J], f[:, J:2 * J], f[:, 2 * J:]
+
+
+def clip_features(p: PoseSequence, bank: list[np.ndarray], bins: int) -> ClipRhythmFeatures:
+    magnitude, wavelet, mx, my = _filtered(p, bank)
+    return ClipRhythmFeatures(joint_input=np.concatenate([magnitude[:, :, None], wavelet], axis=2),
                               mag_s=np.sqrt(mx ** 2 + my ** 2),
-                              column=fusion_column(mx, my, bins), bins=bins)
+                              column=fusion_column(mx, my, bins), bins=bins, pose=p, bank=bank)
 
 
 def joint_weight_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> Tensor:
     """Softmax joint weights from the shared two-layer net, (T-1, J). The
     output layer has no bias: one added to every joint's logit cancels in
     the softmax."""
-    Tm1, J = feats.magnitude.shape
-    x = np.concatenate([feats.magnitude[:, :, None], feats.wavelet], axis=2)  # (T-1, J, 1+S)
-    flat = Tensor(x.reshape(Tm1 * J, 1 + params.scales))
+    Tm1, J, fin = feats.joint_input.shape
+    flat = Tensor(feats.joint_input.reshape(Tm1 * J, fin))
     h = tz.relu(tz.linear(flat, params.w1, params.b1))
     logits = tz.linear(h, params.w2)
     return tz.softmax(tz.reshape(logits, (Tm1, J)), axis=1)

@@ -175,12 +175,12 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    sa, mask = a.slot, a.data > 0
+    sa, y = a.slot, a.data * (a.data > 0)
 
     def bwd(g):
-        sa._accum(g * mask)
+        sa._accum(g * (y > 0))  # y > 0 where a > 0; the linear after each relu keeps y anyway
 
-    return _emit(a.data * mask, (a,), bwd)
+    return _emit(y, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

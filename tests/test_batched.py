@@ -4,6 +4,7 @@ one-pass softmax, layer_norm and mse with their multi-pass and multi-node
 forms there, and the one-expression frame scans with their per-frame loops."""
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -341,12 +342,16 @@ class TestRhythmColumns:
         Tm1, J, S = mx.shape
         rng = np.random.default_rng(seed)
         feats = rhythm.ClipRhythmFeatures(
-            magnitude=None, wavelet=rng.standard_normal((Tm1, J, S)), mx=mx, my=my,
+            joint_input=np.concatenate([np.zeros((Tm1, J, 1)), rng.standard_normal((Tm1, J, S))],
+                                       axis=2),
             mag_s=np.sqrt(mx ** 2 + my ** 2), column=rhythm.fusion_column(mx, my, bins),
-            bins=bins)
+            bins=bins, pose=None, bank=None)
+        # the grid has no pose to refilter, so the oracle reads mx and my from it
+        grid_feats = SimpleNamespace(mx=mx, my=my, mag_s=feats.mag_s, wavelet=feats.wavelet,
+                                     bins=bins)
         w = Tensor(rng.dirichlet(np.ones(J), Tm1), requires_grad=True)
         assert_same(lambda: rhythm.fusion_features(feats, w),
-                    lambda: fusion_features_matmul(feats, w),
+                    lambda: fusion_features_matmul(grid_feats, w),
                     [w], rng.standard_normal((Tm1, (bins + 1) * S)))
 
     def test_phase_pi_takes_bin_zero_column(self):

@@ -157,6 +157,24 @@ class TestCheckpointIntegrity:
             f"{parameter_count(tiny_tc(hidden=200000))} values, the blob holds "
             f"{parameter_count(tiny_tc())}")
 
+    def test_huge_block_count_refused_at_once(self, ckpt):
+        # the count is closed-form, so no layout of 10**9 blocks is ever built
+        self.edit_manifest(ckpt, "blocks = 1\n", f"blocks = {10 ** 9}\n")
+        sizes = [(name, math.prod(shape)) for name, shape, _ in layout(tiny_tc())]
+        per_block = sum(n for name, n in sizes if name.startswith("vf.block0."))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as e:
+                load_model(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == (
+            f"{ckpt.with_suffix('.manifest')}: line 2: the checkpoint config describes "
+            f"{sum(n for _, n in sizes) + (10 ** 9 - 1) * per_block} values, the blob holds "
+            f"{parameter_count(tiny_tc())}")
+        assert peak < 1 << 20, peak
+
     def test_tensor_record_mismatch(self, ckpt):
         self.edit_manifest(ckpt, "tensor vf.time_b1 8 512", "tensor vf.time_b1 8 520")
         with pytest.raises(ParseError, match="vf.time_b1"):
@@ -208,6 +226,14 @@ class TestCheckpointIntegrity:
         assert parameter_count(model.config) == sum(t.data.size for _, t in model.all_tensors())
         assert ([(name, t.shape) for name, t in model.all_tensors()]
                 == [(name, shape) for name, shape, _ in layout(model.config)])
+
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    @pytest.mark.parametrize("kw", [{}, dict(hidden=12, heads=3, bins=5, rhythm_dim=7),
+                                    dict(scales=3, latent_len=7, cond_dim=1, latent_dim=9),
+                                    dict(hidden=64, heads=4, hidden_w=16, hidden_a=16)])
+    def test_closed_form_count_equals_layout_size(self, blocks, kw):
+        cfg = tiny_tc(blocks=blocks, **kw)
+        assert parameter_count(cfg) == sum(math.prod(shape) for _, shape, _ in layout(cfg))
 
     def test_desk_model_size(self):
         assert parameter_count(RunConfig()) == 120_985

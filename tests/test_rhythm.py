@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -128,8 +129,8 @@ class TestJointWeights:
         mag = np.array([[0.5, 0.25]])
         wav = np.array([[[0.1], [0.2]]])
         feats = rhythm.ClipRhythmFeatures(
-            magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=None,
-            column=None, bins=2)
+            joint_input=np.concatenate([mag[:, :, None], wav], axis=2), mag_s=None,
+            column=None, bins=2, pose=None, bank=None)
         w = rhythm.joint_weight_tensor(feats, params).data
         # logits: relu(0.5 + 2*0.1) = 0.7 ; relu(0.25 + 2*0.2) = 0.65
         expect = np.exp([0.7, 0.65]) / np.exp([0.7, 0.65]).sum()
@@ -222,8 +223,8 @@ class TestFuseAndExtract:
         # which is flat position 3 + 1 of the (2, 3) fusion input
         column = np.array([[[0]], [[4]]])
         feats = rhythm.ClipRhythmFeatures(
-            magnitude=mag, wavelet=wav, mx=None, my=None, mag_s=mag_s,
-            column=column, bins=2)
+            joint_input=np.concatenate([mag[:, :, None], wav], axis=2), mag_s=mag_s,
+            column=column, bins=2, pose=None, bank=None)
         out, gate = rhythm.rhythm_core_tensor(feats, params)
         # frame 0: h = [1, 0], ww = 0.5 -> core = [1+2*0.5, 0] = [2, 0]
         # frame 1: h = [0, 2], ww = 0.25 -> core = [0.5, 2]
@@ -289,6 +290,36 @@ class TestFeatureMemory:
                 held[id(a)] = a.nbytes
         cells = (p.frames - 1) * cfg.joints
         assert sum(held.values()) <= cells * 8 + 5 * cells * cfg.scales * 8
+
+    def test_holds_the_speed_wavelet_and_magnitudes_and_the_columns(self, rng):
+        # per frame and joint: 1 + 2S floats (the speed, S wavelet responses, S
+        # magnitudes) and S integer columns; magnitude and wavelet are views
+        T, J, S = 12, 5, 3
+        p = PoseSequence(data=rng.uniform(0, 1, (T, J, 2)), fps=30)
+        feats = rhythm.clip_features(p, rhythm.build_wavelet_bank(S, 2.0), 4)
+        held = [getattr(feats, f.name) for f in dataclasses.fields(feats)]
+        held = [a for a in held if isinstance(a, np.ndarray)]
+        assert all(a.base is None for a in held)
+        assert sum(a.size for a in held if a.dtype.kind == "f") == (T - 1) * J * (1 + 2 * S)
+        assert sum(a.size for a in held if a.dtype.kind == "i") == (T - 1) * J * S
+        assert np.shares_memory(feats.magnitude, feats.joint_input)
+        assert np.shares_memory(feats.wavelet, feats.joint_input)
+
+    def test_filter_output_freed_on_return(self, rng, monkeypatch):
+        filtered, conv_cols = [], rhythm._conv_cols
+
+        def recording(signal, bank):
+            out = conv_cols(signal, bank)
+            filtered.append((out.shape, weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(rhythm, "_conv_cols", recording)
+        p = PoseSequence(data=rng.uniform(0, 1, (12, 5, 2)), fps=30)
+        feats = rhythm.clip_features(p, rhythm.build_wavelet_bank(3, 2.0), 4)
+        [(shape, ref)] = filtered
+        assert shape == (11, 15, 3) and ref() is None
+        # mx and my refilter the pose and stay readable
+        assert feats.mx.shape == feats.my.shape == (11, 5, 3)
 
 
 class TestRhythmFile:

@@ -301,7 +301,7 @@ class TestWhatTheTapeKeeps:
             held = weakref.ref(pre.data)
             y = tz.relu(pre) if op == "relu" else tz.softmax(pre, axis=-1)
             del pre
-            # relu's backward reads its mask and softmax's its output
+            # relu's backward and softmax's each read the op's own output
             assert held() is None
             backward(tz.tsum(tz.mul(y, c)))
         # the same formulas in numpy, to the byte
@@ -316,6 +316,22 @@ class TestWhatTheTapeKeeps:
         assert y.data.tobytes() == want.tobytes()
         assert x.grad.tobytes() == (gp @ w.data.T).tobytes()
         assert w.grad.tobytes() == (x.data.T @ gp).tobytes()
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                              st.floats(allow_nan=False)), min_size=1, max_size=12),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_relu_gradient_is_the_input_mask(self, values, seed):
+        # relu keeps no mask: its backward tests its output, which must pick the same positions
+        a = np.array(values)
+        c = np.random.default_rng(seed).standard_normal(a.shape)
+        x = Tensor(a, requires_grad=True)
+        with Tape(), np.errstate(invalid="ignore"):  # -inf * False is nan, and so is the loss
+            y = tz.relu(x)
+            backward(tz.tsum(tz.mul(y, c)))
+            want = a * (a > 0)
+        assert y.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == (c * (a > 0)).tobytes()
 
     def test_writing_grad_on_one_unrecorded_output_never_shows_on_another(self, rng):
         x = Tensor(rng.standard_normal(3))
