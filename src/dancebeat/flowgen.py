@@ -237,16 +237,6 @@ class Adam:
         self.flat -= np.divide(s, den, out=s)
 
 
-def _take_grads(tensors: list[Tensor]) -> np.ndarray:
-    """The tensors' gradients as one new vector, zeros where one got none;
-    resets them. Backward may hand two leaves one array, so never adopt it."""
-    g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad
-                        for t in tensors], axis=None)
-    for t in tensors:
-        t.grad = None
-    return g
-
-
 def _clip_global_norm(g: np.ndarray, max_norm: float) -> float:
     """The norm of the gradient vector `g`; scales `g` to norm `max_norm` > 0 if longer."""
     total = math.sqrt(float(np.dot(g, g)))
@@ -323,8 +313,11 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
     model = init_model(cfg)
     inputs = [rhythm_input(pose, model) for pose, _, _ in dataset]
 
-    # a group the mode leaves out of the loss gets no gradient, so Adam leaves it as it is
-    trainable = [t for _, t in model.all_tensors()]
+    # one gradient vector laid out like flat: backward adds each tensor's gradient
+    # into its segment; a group the mode leaves out of the loss keeps zeros there
+    grad = np.zeros_like(model.flat)
+    for name, view in tz.parameters(layout(cfg), grad).items():
+        model.tensors[name].slot = tz.LeafSlot(view.data)
     opt = Adam(model.flat, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
     rng = np.random.default_rng(cfg.seed + 1)
 
@@ -352,14 +345,15 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
             if not math.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
-            g = _take_grads(trainable)
-            if not math.isfinite(_clip_global_norm(g, cfg.grad_clip)):
+            if not math.isfinite(_clip_global_norm(grad, cfg.grad_clip)):
                 raise NumericalError(
                     f"non-finite gradient norm at epoch {epoch}, batch {b0 // cfg.batch_size}")
-            opt.step(g)
-            del g  # Adam is done with it: free it before the next batch's forward
+            opt.step(grad)
+            grad.fill(0.0)  # Adam used it as scratch; the next batch sums into zeros
             epoch_losses.append(batch_loss / len(batch))
         model.loss_history.append(float(np.mean(epoch_losses)))
+    for t in model.tensors.values():  # ordinary slots again: the model keeps no gradient vector
+        t.slot = tz.GradSlot(t.shape, True)
     return model
 
 

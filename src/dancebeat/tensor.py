@@ -8,8 +8,11 @@ frees every other value as soon as it drops it. Backward spends the tape:
 it drops each record once its closure has run, so what a node saved is
 freed as soon as backward has passed it, and a tape is unwound once. Only
 leaves keep a gradient: backward drops each intermediate's once it has
-passed it on. Gradient arrays are never written in place, so one array
-may be the gradient of several tensors at once.
+passed it on. An intermediate's gradient array is never written in place,
+so one array may be the gradient of several tensors at once. The exception
+is a leaf given a LeafSlot: its gradient is a fixed view into a vector its
+caller owns (`flowgen.train` gives each parameter its segment of one
+gradient vector), and every contribution is added into that view in place.
 """
 from __future__ import annotations
 
@@ -54,6 +57,20 @@ class GradSlot:
             return
         g = _unbroadcast(g, self.shape)
         self.grad = g if self.grad is None else self.grad + g
+
+
+class LeafSlot(GradSlot):
+    """A leaf's slot whose gradient is `grad`, a view the caller owns and
+    zeroes; backward adds each contribution into it in place."""
+
+    __slots__ = ()
+
+    def __init__(self, grad: np.ndarray):
+        super().__init__(grad.shape, True)
+        self.grad = grad
+
+    def _accum(self, g: np.ndarray) -> None:
+        self.grad += _unbroadcast(g, self.shape)
 
 
 # shared by every tensor that wants no gradient; Tensor.grad's setter never writes it

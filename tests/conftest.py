@@ -12,7 +12,7 @@ from dancebeat.align import segment_slots
 from dancebeat.errors import ConfigError, ShapeError
 from dancebeat.pose import MusicLatent, motion_diff
 from dancebeat.rhythm import phase_bins
-from dancebeat.tensor import Tensor, _emit
+from dancebeat.tensor import Tape, Tensor, _emit, backward
 
 
 def relerr(a: np.ndarray, b: np.ndarray) -> float:
@@ -374,6 +374,59 @@ class adam_oracle:
             self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
             self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
             t.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+
+
+# ---------------------------------------------------------------------------
+# per-tensor gradients gathered once a batch (oracle for flowgen.train's one
+# gradient vector, which backward fills in place)
+
+
+def gather_grads(tensors: list[Tensor]) -> np.ndarray:
+    """The tensors' gradients as one new vector, zeros where one got none;
+    resets them. Backward may hand two leaves one array, so never adopt it."""
+    g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad
+                        for t in tensors], axis=None)
+    for t in tensors:
+        t.grad = None
+    return g
+
+
+def train_loop(dataset, cfg) -> tuple[flowgen.TrainedModel, list[bytes], int]:
+    """flowgen.train with each leaf's gradient summed out of place and the
+    leaves gathered into a new vector each batch. Returns the model, each
+    batch's vector as clipping receives it, and how many clips dropped their
+    conditioning."""
+    model = flowgen.init_model(cfg)
+    inputs = [flowgen.rhythm_input(pose, model) for pose, _, _ in dataset]
+    tensors = list(model.tensors.values())
+    opt = flowgen.Adam(model.flat, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
+    rng = np.random.default_rng(cfg.seed + 1)
+    vectors, drops = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for b0 in range(0, len(dataset), cfg.batch_size):
+            batch = order[b0:b0 + cfg.batch_size]
+            batch_loss = 0.0
+            for i in batch:
+                pose, z1, cond = dataset[i]
+                t = float(rng.uniform())
+                z0 = rng.standard_normal(z1.data.shape)
+                drop = cfg.cond_drop_prob > 0 and rng.uniform() < cfg.cond_drop_prob
+                drops += drop
+                with Tape():
+                    rcond = None if drop else flowgen.rhythm_condition_tensor(inputs[i], model)
+                    loss = tz.mul(flowgen.cfm_loss(model, z1.data, z0, t, rcond,
+                                                   None if drop else cond), 1.0 / len(batch))
+                    backward(loss)
+                batch_loss += float(loss.data) * len(batch)
+            g = gather_grads(tensors)
+            vectors.append(g.tobytes())
+            flowgen._clip_global_norm(g, cfg.grad_clip)
+            opt.step(g)
+            losses.append(batch_loss / len(batch))
+        model.loss_history.append(float(np.mean(losses)))
+    return model, vectors, drops
 
 
 # ---------------------------------------------------------------------------

@@ -264,27 +264,89 @@ class TestTrain:
 class TestNonFiniteGradient:
     @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
     def test_stops_before_adam_applies_it(self, monkeypatch, grad_clip):
-        models, snapshots, take = [], [], flowgen._take_grads
+        models, snapshots, clip = [], [], flowgen._clip_global_norm
         init = flowgen.init_model
 
         def keep_model(cfg):
             models.append(init(cfg))
             return models[-1]
 
-        def poisoned(tensors):  # the third batch's gradient holds a NaN
-            g = take(tensors)
+        def poisoned(g, max_norm):  # the third batch's gradient vector holds a NaN
             snapshots.append(models[0].flat.copy())
             if len(snapshots) == 3:
                 g[5] = np.nan
-            return g
+            return clip(g, max_norm)
 
         monkeypatch.setattr(flowgen, "init_model", keep_model)
-        monkeypatch.setattr(flowgen, "_take_grads", poisoned)
+        monkeypatch.setattr(flowgen, "_clip_global_norm", poisoned)
         with pytest.raises(NumericalError, match="non-finite gradient norm at epoch 1, batch 0"):
             train(tiny_dataset(4), tiny_tc(grad_clip=grad_clip))
         assert len(snapshots) == 3
         assert models[0].flat.tobytes() == snapshots[-1].tobytes()
         assert models[0].flat.tobytes() != snapshots[0].tobytes()
+
+
+class TestOneGradientVector:
+    @pytest.mark.parametrize("kw", [dict(batch_size=1), dict(batch_size=4),
+                                    dict(batch_size=2, cond_drop_prob=0.5),
+                                    dict(batch_size=2, rhythm_mode="none")],
+                             ids=["batch1", "batch4", "drop", "no_rhythm"])
+    def test_train_matches_the_gathered_gradient_loop(self, monkeypatch, kw):
+        # the same vector reaches clipping each batch, and the same flat comes
+        # out, as when each leaf's gradient was its own array, gathered per batch
+        tc, dataset = tiny_tc(epochs=3, **kw), tiny_dataset(4)
+        want, want_vectors, drops = conftest.train_loop(dataset, tc)
+        models, vectors, init, clip = [], [], flowgen.init_model, flowgen._clip_global_norm
+
+        def keep_model(cfg):
+            models.append(init(cfg))
+            return models[-1]
+
+        def record(g, max_norm):
+            # every leaf's gradient is a view of this one vector, and its segment of it
+            tensors = list(models[0].tensors.values())
+            assert all(np.shares_memory(t.grad, g) for t in tensors)
+            assert np.array_equal(np.concatenate([t.grad for t in tensors], axis=None), g)
+            vectors.append(g.tobytes())
+            return clip(g, max_norm)
+
+        monkeypatch.setattr(flowgen, "init_model", keep_model)
+        monkeypatch.setattr(flowgen, "_clip_global_norm", record)
+        got = train(dataset, tc)
+        assert vectors == want_vectors
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.loss_history == want.loss_history
+        if kw.get("cond_drop_prob"):
+            assert 0 < drops < 3 * 4
+        if kw.get("rhythm_mode") == "none":  # two groups get no gradient and keep their draw
+            fresh = init(tc)
+            assert all(np.array_equal(t.data, fresh.tensors[n].data)
+                       for n, t in got.all_tensors() if n.startswith(("rhythm.", "align.")))
+
+    def test_trained_model_has_ordinary_slots(self, tmp_path):
+        # t.grad = None and a later backward act on a trained model as on a loaded one
+        from dancebeat.checkpoint import load_model, save_model
+
+        (pose, z1, cond), = dataset = tiny_dataset(1)
+        trained = train(dataset, tiny_tc(epochs=1, batch_size=1))
+        save_model(trained, tmp_path / "ck")
+        loaded = load_model(tmp_path / "ck")
+        z0 = np.random.default_rng(0).standard_normal(z1.data.shape)
+        grads = []
+        for model in (trained, loaded):
+            assert all(type(t.slot) is tz.GradSlot and t.grad is None
+                       for _, t in model.all_tensors())
+            feats = flowgen.rhythm_input(pose, model)
+            for _ in range(2):
+                for _, t in model.all_tensors():
+                    t.grad = None
+                with Tape():
+                    rcond = flowgen.rhythm_condition_tensor(feats, model)
+                    backward(cfm_loss(model, z1.data, z0, 0.5, rcond, cond))
+            grads.append([None if t.grad is None else t.grad.tobytes()
+                          for _, t in model.all_tensors()])
+        assert grads[0] == grads[1]
+        assert sum(g is not None for g in grads[0]) > len(grads[0]) // 2
 
 
 class TestClipStepMemory:
@@ -320,8 +382,9 @@ class TestClipStepMemory:
         assert all(t.grad is not None for n, t in model.all_tensors() if n.startswith("rhythm."))
 
     def test_train_frees_each_step_before_the_next(self, tmp_path):
-        # the default shape, 4 clips, two one-batch epochs: a step's tape and
-        # gradient vector are gone before the next step's forward
+        # the default shape, 4 clips, two one-batch epochs: a step's tape is
+        # gone before the next step's forward, and what the call leaves
+        # allocated is the model: its flat, and no gradient vector beside it
         from dancebeat import cli
 
         assert cli.main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "4"]) == 0
@@ -329,12 +392,13 @@ class TestClipStepMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train(dataset, RunConfig(epochs=2))
-            peak = tracemalloc.get_traced_memory()[1] - base
+            model = train(dataset, RunConfig(epochs=2))
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         # 8.74 MiB when the tape's closures and `g` lived on, 7.51 MiB without them
         assert peak < 8.1 * 2**20, peak / 2**20
+        assert model.flat.nbytes < held < 1.5 * model.flat.nbytes, (held, model.flat.nbytes)
 
 
 class TestParameterVector:
@@ -368,7 +432,7 @@ class TestParameterVector:
                 g = None if (i + step) % 3 == 0 else scale * rng.standard_normal(a.data.shape)
                 a.grad = b.grad = g
             oracle.step()
-            opt.step(flowgen._take_grads(tensors))
+            opt.step(conftest.gather_grads(tensors))
             want = np.concatenate([t.data for t in ref_tensors], axis=None)
             assert model.flat.tobytes() == want.tobytes(), step
 

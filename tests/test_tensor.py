@@ -372,7 +372,8 @@ class TestLinear:
 
 class TestGradientSharing:
     def test_clipping_a_shared_gradient_scales_it_once(self):
-        from dancebeat.flowgen import _clip_global_norm, _take_grads
+        from conftest import gather_grads
+        from dancebeat.flowgen import _clip_global_norm
 
         # add's backward hands p and q one array: both segments of the
         # gathered vector are scaled once, and the shared array not at all
@@ -382,11 +383,40 @@ class TestGradientSharing:
             backward(tz.tsum(tz.mul(tz.add(p, q), 4.0)))
         shared = p.grad
         assert np.shares_memory(q.grad, shared)
-        g = _take_grads([p, q])
+        g = gather_grads([p, q])
         assert p.grad is None and q.grad is None
         _clip_global_norm(g, 1.0)
         assert relerr(g, np.full(6, 4 / np.sqrt(96))) < 1e-15
         assert np.array_equal(shared, np.full(3, 4.0))
+
+    def test_leaf_slot_sums_in_place_into_its_view(self, rng):
+        # p's two uses and a second tape add into p's segment of vec, and the
+        # bias's broadcast gradient is summed to its shape first
+        vec = np.zeros(10)
+        p = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        p.slot, b.slot = tz.LeafSlot(vec[1:7].reshape(2, 3)), tz.LeafSlot(vec[7:])
+        c = rng.standard_normal((2, 3))
+        for _ in range(2):
+            with Tape():
+                backward(tz.tsum(tz.mul(tz.add(tz.add(p, p), b), c)))
+        assert np.shares_memory(p.grad, vec) and np.shares_memory(b.grad, vec)
+        assert np.array_equal(vec, np.concatenate([[0.0], 4 * c.ravel(), 2 * c.sum(axis=0)]))
+
+    def test_intermediate_gradient_is_never_written_in_place(self, rng):
+        # add(s, h) hands s and h one array; s passes it on to q, which adopts
+        # it, and to h, which must sum its two contributions into a new array
+        vec = np.zeros(3)
+        p = Tensor(rng.standard_normal(3), requires_grad=True)
+        p.slot = tz.LeafSlot(vec)
+        q = Tensor(rng.standard_normal(3), requires_grad=True)
+        c = rng.standard_normal(3)
+        with Tape():
+            h = tz.mul(p, 2.0)
+            s = tz.add(h, q)
+            backward(tz.tsum(tz.mul(tz.add(s, h), c)))
+        assert np.array_equal(q.grad, c)
+        assert np.array_equal(vec, 4 * c)
 
     def test_constant_operands_get_no_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
