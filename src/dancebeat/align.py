@@ -2,11 +2,11 @@
 
 Segment i of the T-frame rhythm embedding starts at frame floor(i*T/T_m), on the
 linear map that `pose.map_to_latent` rounds; a learnable query per segment pools
-its frames by scaled-dot-product attention into a convex combination of them.
+its frames into a convex combination of them by one-head cross-attention, one
+`tz.attention` node for all segments.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +52,23 @@ def segment_spans(total: int, count: int) -> list[tuple[int, int]]:
 
 def segment_slots(total: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, n) frame indices of each segment, n the longest segment, and
-    the mask of the slots that hold one; the k-th other slot indexes frame
-    `total + k`, so no index repeats."""
+    the mask of the slots that hold one; a slot past its segment's end
+    indexes the segment's last frame."""
     spans = np.array(segment_spans(total, count))
     slots = spans[:, :1] + np.arange((spans[:, 1] - spans[:, 0]).max())
     inside = slots < spans[:, 1:]
-    slots[~inside] = total + np.arange(np.count_nonzero(~inside))
-    return slots, inside
+    return np.minimum(slots, spans[:, 1:] - 1), inside
 
 
-def _pool(r: Tensor, queries: Tensor, slots: np.ndarray, inside: np.ndarray) -> Tensor:
-    """Row i: the frames of segment i weighted by the softmax of their scaled
-    dot products with query i, the slots outside the segment masked to -inf."""
-    pad = np.zeros((np.count_nonzero(~inside), r.shape[1]))
-    rows = tz.concat([r, pad], axis=0)[slots]  # each slot past T reads its own zero row
-    count, n, dim = rows.shape
-    scores = tz.tsum(tz.mul(rows, tz.reshape(queries, (count, 1, dim))), axis=2)
-    scores = tz.add(tz.mul(scores, 1.0 / math.sqrt(dim)), np.where(inside, 0.0, -np.inf))
-    weights = tz.reshape(tz.softmax(scores, axis=1), (count, n, 1))
-    return tz.tsum(tz.mul(weights, rows), axis=1)  # (count, D)
+def _pool(r: Tensor, queries: Tensor) -> Tensor:
+    """Row i: query i's one-head attention over the frames of segment i,
+    the band's slots past the segment's end masked to -inf."""
+    count, dim = queries.shape
+    slots, inside = segment_slots(r.shape[0], count)
+    band = r[slots]  # (count, n, D)
+    mask = np.where(inside, 0.0, -np.inf)[:, None, None, :]
+    out = tz.attention(tz.reshape(queries, (count, 1, dim)), band, band, 1, mask)
+    return tz.reshape(out, (count, dim))
 
 
 def attention_pool(segment, query) -> Tensor:
@@ -78,25 +76,24 @@ def attention_pool(segment, query) -> Tensor:
     of the scaled dot products weighs the rows. Differentiable w.r.t. both
     operands."""
     seg, q = tz.as_tensor(segment), tz.as_tensor(query)
-    return _pool(seg, tz.reshape(q, (1, seg.shape[1])), *segment_slots(seg.shape[0], 1))
+    return _pool(seg, tz.reshape(q, (1, seg.shape[1])))
 
 
 def align_tensor(r: Tensor, queries: ContextQueries) -> Tensor:
     """Differentiable alignment of a (T, D) embedding to (T_m, D): each
-    query pools its own segment, all in one segment-masked softmax."""
+    query pools its own segment, all in one segment-masked attention."""
     T, D = r.shape
     if queries.dim != D:
         raise ConfigError(f"query dim {queries.dim} != rhythm dim {D}")
     if queries.count > T:
         raise ConfigError(f"{queries.count} queries exceed {T} rhythm frames")
-    return _pool(r, queries.data, *segment_slots(T, queries.count))
+    return _pool(r, queries.data)
 
 
 def mean_pool_align(r: Tensor, latent_len: int) -> Tensor:
     """Plain segment-mean downsampling (alignment-module ablation): zero
-    queries weigh each frame of a segment exactly 1/n."""
-    T, D = r.shape
-    return _pool(r, Tensor(np.zeros((latent_len, D))), *segment_slots(T, latent_len))
+    queries weigh the frames of a segment alike, its sum over its length."""
+    return _pool(r, Tensor(np.zeros((latent_len, r.shape[1]))))
 
 
 def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> RhythmEmbedding:

@@ -125,7 +125,10 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_extract(cfg: RunConfig, args) -> int:
     p = pose.load_pose_sequence(args.pose)
     model = _load_checkpoint(cfg, args.ckpt)
-    r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
+    if model.config.rhythm_mode in ("mean", "binary"):  # what such a model conditions on
+        r = rhythm.RhythmEmbedding(data=flowgen.rhythm_input(p, model), fps=p.fps)
+    else:
+        r = rhythm.extract_rhythm(p, model.bank, model.rhythm_net)
     rhythm.save_rhythm(r, args.out)
     print(f"rhythm embedding {r.data.shape[0]}x{r.data.shape[1]} -> {args.out}")
     return 0

@@ -256,22 +256,27 @@ def weighted_scatter(w, index, values, dense, width: int) -> Tensor:
     return _emit(out, (w,), bwd)
 
 
-def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head self-attention of (n, hidden) queries, keys and values: head
-    h's columns of the output are softmax(q_h k_hᵀ / sqrt(dh)) v_h. Scaling
-    q, not the scores, is exact when 1/sqrt(dh) is a power of two. The
-    scores are exponentiated in place into e and the (n, dh) products e v_h,
-    not e, are divided by the row sums l, so the forward makes one
-    (heads, n, n) array, e, and backward one more, built in place."""
+def attention(q, k, v, heads: int, mask=None) -> Tensor:
+    """Multi-head attention of (..., nq, hidden) queries over (..., nk, hidden)
+    keys and values, leading axes a batch: head h's columns of the output are
+    softmax(q_h k_hᵀ / sqrt(dh) + mask) v_h, the constant `mask` broadcast to
+    (..., heads, nq, nk) and added in the node, as `matmul` adds its bias. A
+    key masked to -inf gets zero weight and zero gradient; each query must see
+    one key. Scaling q, not the scores, is exact when 1/sqrt(dh) is a power of
+    two. The scores are exponentiated in place into e and the products e v_h,
+    not e, are divided by the row sums l, so the forward makes one score-sized
+    array, e, and backward one more, built in place."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     sq, sk, sv = q.slot, k.slot, v.slot
-    n, hidden = q.shape
+    hidden = q.shape[-1]
     dh = hidden // heads
     scale = 1.0 / math.sqrt(dh)
-    split = lambda y: y.reshape(n, heads, dh).swapaxes(0, 1)  # (heads, n, dh) views
-    merge = lambda y: y.swapaxes(0, 1).reshape(n, hidden)
+    split = lambda y: y.reshape(*y.shape[:-1], heads, dh).swapaxes(-2, -3)  # (..., heads, n, dh)
+    merge = lambda y: y.swapaxes(-2, -3).reshape(*y.shape[:-3], y.shape[-2], hidden)
     q4, k4, v4 = split(q.data * scale), split(k.data), split(v.data)
-    e = q4 @ k4.swapaxes(1, 2)
+    e = q4 @ k4.swapaxes(-1, -2)
+    if mask is not None:
+        e += mask
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     l = e.sum(axis=-1, keepdims=True)
@@ -284,10 +289,10 @@ def attention(q, k, v, heads: int) -> Tensor:
     def bwd(g):
         g4 = split(g)
         if sv.requires_grad:
-            sv._accum(merge(e.swapaxes(1, 2) @ (g4 / l)))
+            sv._accum(merge(e.swapaxes(-1, -2) @ (g4 / l)))
         if sq.requires_grad or sk.requires_grad:
-            ds = g4 @ v4.swapaxes(1, 2)  # d(e/l) = g vᵀ
-            delta = np.einsum("hij,hij->hi", ds, e)[:, :, None]
+            ds = g4 @ v4.swapaxes(-1, -2)  # d(e/l) = g vᵀ
+            delta = np.einsum("...ij,...ij->...i", ds, e)[..., None]
             delta /= l
             ds -= delta
             ds *= e
@@ -295,7 +300,7 @@ def attention(q, k, v, heads: int) -> Tensor:
             if sq.requires_grad:
                 sq._accum(merge((ds @ k4) * scale))
             if sk.requires_grad:
-                sk._accum(merge(ds.swapaxes(1, 2) @ q4))
+                sk._accum(merge(ds.swapaxes(-1, -2) @ q4))
 
     return _emit(merge(out), (q, k, v), bwd)
 
@@ -322,31 +327,15 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
-def _repeats(key, shape: tuple[int, ...]) -> bool:
-    """Whether indexing an array of `shape` by `key` selects some position
-    more than once, which only an integer-array index can do."""
-    keys = key if isinstance(key, tuple) else (key,)
-    kinds = {np.asarray(k).dtype.kind for k in keys if np.ndim(k)}
-    if not kinds & {"i", "u"}:
-        return False
-    # number the positions of the key's first len(keys) axes, or of all axes
-    # where an Ellipsis or a mask moves the axes the key indexes
-    lead = shape if "b" in kinds or any(k is Ellipsis for k in keys) else shape[:len(keys)]
-    return np.bincount(np.arange(math.prod(lead)).reshape(lead)[key].ravel()).max(initial=0) > 1
-
-
 def tslice(a, key) -> Tensor:
+    """a[key]; backward sums each selected position's gradients into it."""
     a = as_tensor(a)
-    sa = a.slot
+    sa, size = a.slot, a.data.size
 
     def bwd(g):
         if sa.requires_grad:
-            buf = np.zeros(sa.shape)
-            if _repeats(key, sa.shape):
-                np.add.at(buf, key, g)  # a repeated position sums its gradients
-            else:
-                buf[key] = g
-            sa._accum(buf)
+            index = np.arange(size).reshape(sa.shape)[key]
+            sa._accum(np.bincount(index.ravel(), g.ravel(), minlength=size).reshape(sa.shape))
 
     return _emit(a.data[key].copy(), (a,), bwd)
 

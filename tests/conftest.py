@@ -15,10 +15,14 @@ from dancebeat.rhythm import phase_bins
 from dancebeat.tensor import Tape, Tensor, _emit, backward
 
 
-def relerr(a: np.ndarray, b: np.ndarray) -> float:
+def relerr(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> float:
+    """Largest difference over the larger operand's largest magnitude, or
+    over `scale`, the size of the computation, where the outputs may cancel
+    to rounding noise (|x| * sum|k| for a correlation of x with k)."""
     a, b = np.asarray(a), np.asarray(b)
-    denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
-    return float(np.abs(a - b).max(initial=0.0) / denom)
+    if scale is None:
+        scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
+    return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -252,11 +256,11 @@ def mean_pool_loop(r: Tensor, latent_len: int) -> Tensor:
 
 
 def mean_pool_weighted(r: Tensor, latent_len: int) -> Tensor:
-    """Segment means as one weighted sum of gathered slots, each weight 1/n."""
+    """Segment means as one weighted sum of gathered slots, each weight 1/n
+    inside the segment and 0 past its end."""
     slots, inside = segment_slots(r.shape[0], latent_len)
     weights = inside / inside.sum(axis=1, keepdims=True)
-    rows = tz.concat([r, np.zeros((np.count_nonzero(~inside), r.shape[1]))], axis=0)[slots]
-    return tz.tsum(tz.mul(rows, weights[:, :, None]), axis=1)
+    return tz.tsum(tz.mul(r[slots], weights[:, :, None]), axis=1)
 
 
 def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:

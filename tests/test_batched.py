@@ -88,14 +88,17 @@ class TestAlignment:
     @given(segmentations(), st.integers(0, 2 ** 32 - 1))
     @PROPERTY
     def test_mean_pool_is_zero_query_attention(self, shape, seed):
-        # zero queries weigh each slot of a segment 1/n, as a weighted sum does
+        # zero queries weigh each slot of a segment alike, as a 1/n weighted sum does
         T, count, D = shape
         rng = np.random.default_rng(seed)
         r = Tensor(rng.standard_normal((T, D)), requires_grad=True)
         c = rng.standard_normal((count, D))
+        zero = align.ContextQueries(Tensor(np.zeros((count, D))))
         got, (got_g,) = value_and_grads(lambda: flowgen.mean_pool_align(r, count), [r], c)
-        want, (want_g,) = value_and_grads(lambda: mean_pool_weighted(r, count), [r], c)
+        want, (want_g,) = value_and_grads(lambda: align.align_tensor(r, zero), [r], c)
         assert np.array_equal(got, want) and np.array_equal(got_g, want_g)
+        assert_same(lambda: flowgen.mean_pool_align(r, count),
+                    lambda: mean_pool_weighted(r, count), [r], c)
 
     @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
     @PROPERTY
@@ -114,27 +117,10 @@ class TestAlignment:
         assert np.array_equal(flowgen.mean_pool_align(r, T).data, r.data)
 
     def test_segment_slots_partition_the_frames(self):
-        # spans [0, 3), [3, 6), [6, 10): the last row is the one fully inside
+        # spans [0, 3), [3, 6), [6, 10): a slot past a segment's end reads its last frame
         slots, inside = align.segment_slots(10, 3)
-        assert slots.tolist() == [[0, 1, 2, 10], [3, 4, 5, 11], [6, 7, 8, 9]]
+        assert slots.tolist() == [[0, 1, 2, 2], [3, 4, 5, 5], [6, 7, 8, 9]]
         assert inside.tolist() == [[True] * 3 + [False], [True] * 3 + [False], [True] * 4]
-
-    @pytest.mark.parametrize("T, count", [(7, 3), (10, 3), (147, 50), (150, 50), (599, 200)])
-    def test_band_key_never_repeats(self, rng, monkeypatch, T, count):
-        """Every padding slot reads its own zero row, so the band's backward
-        takes the assignment path even when the split is uneven."""
-        seen, repeats = [], tz._repeats
-
-        def recorded(key, shape):
-            seen.append(repeats(key, shape))
-            return seen[-1]
-
-        monkeypatch.setattr(tz, "_repeats", recorded)
-        r = Tensor(rng.standard_normal((T, 3)), requires_grad=True)
-        q = align.ContextQueries(Tensor(rng.standard_normal((count, 3)), requires_grad=True))
-        with Tape():
-            backward(tz.tsum(align.align_tensor(r, q)))
-        assert seen == [False]
 
     def test_masked_softmax_gradients_vs_fd(self, rng):
         r = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
@@ -302,13 +288,11 @@ class TestRhythmColumns:
         m = pose.motion_diff(p)
         for signal in (m.magnitude, m.diffs[:, :, 0], m.diffs[:, :, 1]):
             got, want = rhythm._conv_cols(signal, bank), conv_cols_loop(signal, bank)
-            if len(signal) > 1:
-                assert relerr(got, want) < 1e-12
-            else:
-                # one sample pads to a constant window, which a zero-mean kernel
-                # cancels to rounding noise: bound it by |x| * sum|k| instead
-                scale = np.abs(signal).max() * max(np.abs(k).sum() for k in bank)
-                assert np.abs(got - want).max() < 1e-12 * scale
+            # one sample pads to a constant window, which a zero-mean kernel
+            # cancels to rounding noise: bound it by |x| * sum|k| instead
+            scale = (None if len(signal) > 1
+                     else np.abs(signal).max() * max(np.abs(k).sum() for k in bank))
+            assert relerr(got, want, scale) < 1e-12
 
     @given(poses(), st.integers(1, 4))
     @example(SHORTEST[0], 4)
@@ -407,22 +391,43 @@ class TestPerFrameScans:
         assert np.array_equal(rhythm.baseline_binary_rhythm(p, 3), binary_rhythm_loop(p, 3))
 
 
-def clip_step_nodes(latent_len: int) -> int:
-    """Tape nodes of one training clip-step (forward and loss) at desk shape."""
+def clip_step(latent_len: int):
+    """The model, clip features, target latent and conditioning of one
+    training clip-step at desk shape."""
     cfg = RunConfig(latent_len=latent_len)
     model = flowgen.init_model(cfg)
     p, _ = pose.synth_dance(120.0, cfg.duration_s, cfg.fps, cfg.joints, seed=1)
     feats = rhythm.clip_features(p, model.bank, cfg.bins)
     z1 = np.random.default_rng(0).standard_normal((latent_len, cfg.latent_dim))
-    cond = pose.synth_conditioning(cfg.cond_len, cfg.cond_dim)
+    return model, feats, z1, pose.synth_conditioning(cfg.cond_len, cfg.cond_dim)
+
+
+def clip_step_nodes(latent_len: int) -> int:
+    """Tape nodes of one training clip-step (forward and loss) at desk shape."""
+    model, feats, z1, cond = clip_step(latent_len)
     with Tape() as tape:
         rcond = flowgen.rhythm_condition_tensor(feats, model)
         tz.mul(flowgen.cfm_loss(model, z1, 0.5 * z1, 0.3, rcond, cond), 0.25)
         return len(tape)
 
 
-def test_desk_clip_step_records_63_nodes():
-    assert clip_step_nodes(RunConfig().latent_len) == 63
+def test_desk_clip_step_records_56_nodes():
+    assert clip_step_nodes(RunConfig().latent_len) == 56
+
+
+def test_desk_clip_step_splits_36_velocity_14_rhythm_4_alignment_2_loss():
+    model, feats, z1, cond = clip_step(RunConfig().latent_len)
+    with Tape() as tape:
+        r, _gate = rhythm.rhythm_core_tensor(feats, model.rhythm_net)
+        marks = [len(tape)]
+        rcond = align.align_tensor(r, model.queries)
+        marks.append(len(tape))
+        v = flowgen.velocity(model.vf, 0.65 * z1, 0.3, rcond, cond)
+        marks.append(len(tape))
+        tz.mul(tz.mse(v, 0.5 * z1), 0.25)  # cfm_loss's mse, scaled by the batch
+        marks.append(len(tape))
+    rhythm_nodes, align_nodes, velocity_nodes, loss_nodes = np.diff([0, *marks]).tolist()
+    assert (velocity_nodes, rhythm_nodes, align_nodes, loss_nodes) == (36, 14, 4, 2)
 
 
 def test_clip_step_tape_is_small_and_independent_of_latent_len():

@@ -715,6 +715,25 @@ class TestAlignMode:
         assert np.array_equal(got, want)
 
 
+class TestRhythmMode:
+    @pytest.mark.parametrize("mode", ["learned", "mean", "binary"])
+    def test_extract_then_align_give_what_the_model_conditions_on(self, tmp_path, mode):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(TINY_CFG + f"rhythm_mode = {mode!r}\n")
+        data, ckpt = tmp_path / "data", tmp_path / "model"
+        r_path, a_path = tmp_path / "clip.rhythm", tmp_path / "clip.arhythm"
+        assert run("--config", str(cfg), "synth", "--out", str(data), "--n-clips", "2") == 0
+        assert run("--config", str(cfg), "train", "--data", str(data), "--out", str(ckpt)) == 0
+        assert run("--config", str(cfg), "extract", "--ckpt", str(ckpt),
+                   "--pose", str(data / "clip_000.pose"), "--out", str(r_path)) == 0
+        assert run("--config", str(cfg), "align", "--ckpt", str(ckpt),
+                   "--rhythm", str(r_path), "--out", str(a_path)) == 0
+        model = checkpoint.load_model(ckpt)
+        p = pose.load_pose_sequence(data / "clip_000.pose")
+        want = flowgen.rhythm_condition_tensor(flowgen.rhythm_input(p, model), model).data
+        assert np.array_equal(pose.read_matrix(a_path, "T_m D fps", floats=1)[1], want)
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("line, needle", [
         ("fps = nan", "fps must be finite"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dancebeat import tensor as tz
 from dancebeat.errors import ConfigError, ContractError, ShapeError
@@ -208,6 +209,52 @@ class TestAttention:
         # the node's exponentiated scores and one working array; every other
         # buffer is (n, heads * dh), so a third (heads, n, n) array would pass 3x
         assert scores < peak < 3 * scores
+
+
+class TestBatchedMaskedAttention:
+    """Leading batch axes, nq != nk and a constant additive mask: the form
+    alignment calls, each query attending over one segment's frames."""
+    LEAD, NQ, NK, HEADS, DH = (2, 3), 2, 5, 2, 3
+
+    def operands(self, rng):
+        hidden = self.HEADS * self.DH
+        q = Tensor(rng.standard_normal((*self.LEAD, self.NQ, hidden)), requires_grad=True)
+        k, v = (Tensor(rng.standard_normal((*self.LEAD, self.NK, hidden)), requires_grad=True)
+                for _ in range(2))
+        keep = rng.uniform(size=(*self.LEAD, 1, 1, self.NK)) < 0.6
+        keep[..., 0] = True  # every query sees one key at least
+        return q, k, v, keep, np.where(keep, 0.0, -np.inf)
+
+    def test_matches_each_batch_over_its_unmasked_keys(self, rng):
+        q, k, v, keep, mask = self.operands(rng)
+        y = tz.attention(q, k, v, self.HEADS, mask).data
+        assert y.shape == q.shape
+        for b in np.ndindex(*self.LEAD):
+            cols = keep[b][0, 0]
+            want = attention_reference(q.data[b], k.data[b][cols], v.data[b][cols], self.HEADS)
+            assert relerr(y[b], want) < 1e-14
+
+    def test_grad_vs_fd(self, rng):
+        q, k, v, _, mask = self.operands(rng)
+        c = rng.standard_normal(q.shape)
+        check_grad(lambda: tz.tsum(tz.mul(tz.attention(q, k, v, self.HEADS, mask), c)),
+                   [q, k, v])
+
+    def test_a_masked_key_gets_exactly_zero_weight_and_gradient(self, rng):
+        # one head over the identity as values: the output is the weights
+        nq, nk = 4, 6
+        q = Tensor(rng.standard_normal((2, nq, nk)), requires_grad=True)
+        k = Tensor(rng.standard_normal((2, nk, nk)), requires_grad=True)
+        v = Tensor(np.broadcast_to(np.eye(nk), (2, nk, nk)), requires_grad=True)
+        keep = np.array([[True, False, True, True, False, True],
+                         [False, True, True, False, True, True]])
+        with Tape():
+            w = tz.attention(q, k, v, 1, np.where(keep, 0.0, -np.inf)[:, None, None, :])
+            backward(tz.tsum(tz.mul(w, rng.standard_normal(w.shape))))
+        for b in range(2):
+            assert not w.data[b][:, ~keep[b]].any() and (w.data[b][:, keep[b]] > 0).all()
+            assert not k.grad[b][~keep[b]].any() and not v.grad[b][~keep[b]].any()
+        assert relerr(w.data.sum(axis=-1), np.ones((2, nq))) < 1e-15
 
 
 class TestWeightedScatter:
@@ -504,6 +551,44 @@ class TestRepeatedIndex:
         key = np.array([[0, 2], [2, -1]])
         c = rng.standard_normal((2, 2, 4))
         check_grad(lambda: tz.tsum(tz.mul(x[key], c)), [x])
+
+
+def index_arrays(n: int, shapes=((1,), (4,), (2, 3))):
+    """Integer arrays into an axis of length n, negative and repeated indices included."""
+    return st.sampled_from(shapes).flatmap(
+        lambda shape: arrays(np.intp, shape, elements=st.integers(-n, n - 1)))
+
+
+def slices(n: int):
+    bound = st.none() | st.integers(-n, n)
+    return st.builds(slice, bound, bound, st.sampled_from([None, 1, 2, -1]))
+
+
+@st.composite
+def slice_keys(draw):
+    """A 2-D shape and a key on it: integer arrays, slices, an Ellipsis, and tuples of them."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    key = draw(st.one_of(index_arrays(rows), slices(rows),
+                         st.tuples(index_arrays(rows), slices(cols)),
+                         st.tuples(slices(rows), index_arrays(cols)),
+                         st.tuples(st.just(Ellipsis), index_arrays(cols)),
+                         st.tuples(index_arrays(rows, ((2, 3),)), index_arrays(cols, ((2, 3),)))))
+    return (rows, cols), key
+
+
+class TestSliceGradient:
+    @given(slice_keys(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_grad_is_the_add_at_scatter(self, shape_key, seed):
+        shape, key = shape_key
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        c = rng.standard_normal(x.data[key].shape)
+        with Tape():
+            backward(tz.tsum(tz.mul(x[key], c)))
+        want = np.zeros(shape)
+        np.add.at(want, key, c)
+        assert np.array_equal(x.grad, want)
 
 
 class TestTapeLifetime:
