@@ -102,4 +102,4 @@ def align(r: RhythmEmbedding, queries: ContextQueries, mode: str = "attn") -> Rh
     of that align_mode conditions."""
     x = Tensor(r.data)
     out = align_tensor(x, queries) if mode == "attn" else mean_pool_align(x, queries.count)
-    return RhythmEmbedding(data=out.data.copy(), fps=r.fps * queries.count / len(r.data))
+    return RhythmEmbedding(data=out.data, fps=r.fps * queries.count / len(r.data))

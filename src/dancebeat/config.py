@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"base_period must be >= 2 frames, got {self.base_period}")
         if not 0 <= self.rel_threshold <= 1:
             raise ConfigError(f"rel_threshold must be in [0, 1], got {self.rel_threshold}")
-        if self.duration_s * self.fps > 2 ** 16:  # build_wavelet_bank's cap on kernels
+        if self.duration_s * self.fps > 2 ** 16:  # caps a clip's frames
             raise ConfigError(f"duration_s * fps = {self.duration_s * self.fps} > 2^16 frames")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")

@@ -333,15 +333,12 @@ def train(dataset: list[tuple[PoseSequence, MusicLatent, ConditioningFeatures]],
                 z0 = rng.standard_normal(z1.data.shape)
                 drop = cfg.cond_drop_prob > 0 and rng.uniform() < cfg.cond_drop_prob
                 with Tape():
-                    if drop:
-                        rcond, vcond = None, None
-                    else:
-                        rcond = rhythm_condition_tensor(inputs[i], model)
-                        vcond = cond
-                    loss = tz.mul(cfm_loss(model, z1.data, z0, t, rcond, vcond),
-                                  1.0 / len(batch))
+                    loss = cfm_loss(model, z1.data, z0, t,
+                                    None if drop else rhythm_condition_tensor(inputs[i], model),
+                                    None if drop else cond)
                     backward(loss)
-                batch_loss += float(loss.data) * len(batch)
+                batch_loss += float(loss.data)
+            grad *= 1.0 / len(batch)  # the batch mean, taken once on the summed gradients
             if not math.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")

@@ -188,7 +188,7 @@ def rhythm_core_tensor(feats: ClipRhythmFeatures, params: RhythmParams) -> tuple
     gate = tz.sigmoid(tz.linear(tz.relu(tz.linear(core, params.a1, params.ab1)),
                                 params.a2, params.ab2))  # (T-1, 1)
     gated = tz.mul(gate, core)
-    full = tz.concat([gated, gated[Tm1 - 1:Tm1, :]], axis=0)  # repeat last frame -> (T, D)
+    full = gated[np.minimum(np.arange(Tm1 + 1), Tm1 - 1)]  # repeat last frame -> (T, D)
     return full, gate
 
 
@@ -196,7 +196,7 @@ def extract_rhythm(p: PoseSequence, bank: list[np.ndarray],
                    params: RhythmParams) -> RhythmEmbedding:
     feats = clip_features(p, bank, params.bins)
     full, _gate = rhythm_core_tensor(feats, params)
-    return RhythmEmbedding(data=full.data.copy(), fps=p.fps)
+    return RhythmEmbedding(data=full.data, fps=p.fps)
 
 
 def scale_energy(p: PoseSequence, bank: list[np.ndarray]) -> np.ndarray:

@@ -390,47 +390,3 @@ class TestPerFrameScans:
         p = pose.PoseSequence(data=data, fps=30.0)
         assert np.array_equal(rhythm.baseline_binary_rhythm(p, 3), binary_rhythm_loop(p, 3))
 
-
-def clip_step(latent_len: int):
-    """The model, clip features, target latent and conditioning of one
-    training clip-step at desk shape."""
-    cfg = RunConfig(latent_len=latent_len)
-    model = flowgen.init_model(cfg)
-    p, _ = pose.synth_dance(120.0, cfg.duration_s, cfg.fps, cfg.joints, seed=1)
-    feats = rhythm.clip_features(p, model.bank, cfg.bins)
-    z1 = np.random.default_rng(0).standard_normal((latent_len, cfg.latent_dim))
-    return model, feats, z1, pose.synth_conditioning(cfg.cond_len, cfg.cond_dim)
-
-
-def clip_step_nodes(latent_len: int) -> int:
-    """Tape nodes of one training clip-step (forward and loss) at desk shape."""
-    model, feats, z1, cond = clip_step(latent_len)
-    with Tape() as tape:
-        rcond = flowgen.rhythm_condition_tensor(feats, model)
-        tz.mul(flowgen.cfm_loss(model, z1, 0.5 * z1, 0.3, rcond, cond), 0.25)
-        return len(tape)
-
-
-def test_desk_clip_step_records_56_nodes():
-    assert clip_step_nodes(RunConfig().latent_len) == 56
-
-
-def test_desk_clip_step_splits_36_velocity_14_rhythm_4_alignment_2_loss():
-    model, feats, z1, cond = clip_step(RunConfig().latent_len)
-    with Tape() as tape:
-        r, _gate = rhythm.rhythm_core_tensor(feats, model.rhythm_net)
-        marks = [len(tape)]
-        rcond = align.align_tensor(r, model.queries)
-        marks.append(len(tape))
-        v = flowgen.velocity(model.vf, 0.65 * z1, 0.3, rcond, cond)
-        marks.append(len(tape))
-        tz.mul(tz.mse(v, 0.5 * z1), 0.25)  # cfm_loss's mse, scaled by the batch
-        marks.append(len(tape))
-    rhythm_nodes, align_nodes, velocity_nodes, loss_nodes = np.diff([0, *marks]).tolist()
-    assert (velocity_nodes, rhythm_nodes, align_nodes, loss_nodes) == (36, 14, 4, 2)
-
-
-def test_clip_step_tape_is_small_and_independent_of_latent_len():
-    counts = {n: clip_step_nodes(n) for n in (10, 50, 150)}
-    assert counts[50] <= 150, counts
-    assert len(set(counts.values())) == 1, counts

@@ -289,11 +289,14 @@ class TestNonFiniteGradient:
 class TestOneGradientVector:
     @pytest.mark.parametrize("kw", [dict(batch_size=1), dict(batch_size=4),
                                     dict(batch_size=2, cond_drop_prob=0.5),
-                                    dict(batch_size=2, rhythm_mode="none")],
-                             ids=["batch1", "batch4", "drop", "no_rhythm"])
+                                    dict(batch_size=2, rhythm_mode="none"),
+                                    dict(batch_size=3)],
+                             ids=["batch1", "batch4", "drop", "no_rhythm", "batch3"])
     def test_train_matches_the_gathered_gradient_loop(self, monkeypatch, kw):
         # the same vector reaches clipping each batch, and the same flat comes
-        # out, as when each leaf's gradient was its own array, gathered per batch
+        # out, as when each leaf's gradient was its own array, gathered per batch.
+        # The oracle scales each clip's loss by 1/|batch| and train scales the summed
+        # vector once: the same bytes when |batch| is a power of two, else to rounding
         tc, dataset = tiny_tc(epochs=3, **kw), tiny_dataset(4)
         want, want_vectors, drops = conftest.train_loop(dataset, tc)
         models, vectors, init, clip = [], [], flowgen.init_model, flowgen._clip_global_norm
@@ -313,9 +316,16 @@ class TestOneGradientVector:
         monkeypatch.setattr(flowgen, "init_model", keep_model)
         monkeypatch.setattr(flowgen, "_clip_global_norm", record)
         got = train(dataset, tc)
-        assert vectors == want_vectors
-        assert got.flat.tobytes() == want.flat.tobytes()
-        assert got.loss_history == want.loss_history
+        if math.log2(tc.batch_size).is_integer():
+            assert vectors == want_vectors
+            assert got.flat.tobytes() == want.flat.tobytes()
+            assert got.loss_history == want.loss_history
+        else:
+            assert len(vectors) == len(want_vectors)
+            assert max(relerr(np.frombuffer(a), np.frombuffer(b))
+                       for a, b in zip(vectors, want_vectors)) < 1e-12
+            assert relerr(got.flat, want.flat) < 1e-12
+            assert relerr(got.loss_history, want.loss_history) < 1e-12
         if kw.get("cond_drop_prob"):
             assert 0 < drops < 3 * 4
         if kw.get("rhythm_mode") == "none":  # two groups get no gradient and keep their draw
