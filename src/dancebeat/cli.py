@@ -15,7 +15,7 @@ import numpy as np
 from . import align as align_mod
 from . import checkpoint, clicktrack, flowgen, metrics, pose, rhythm
 from .config import RunConfig, load_config
-from .errors import ConfigError, DanceBeatError
+from .errors import ConfigError, DanceBeatError, ParseError
 from .pose import BeatGrid
 
 # where numpy's wheels bundle their OpenBLAS
@@ -56,10 +56,21 @@ def _fixed_malloc_thresholds() -> None:
 
 
 def _clip_ids(data_dir: Path) -> list[str]:
+    """The manifest lines' first fields, sorted; each a plain file name, named once."""
     manifest = data_dir / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest.txt in {data_dir}")
-    return sorted(line.split()[0] for line in pose.read_lines(manifest) if line.strip())
+    first = {}
+    for ln, line in enumerate(pose.read_lines(manifest), start=1):
+        if not line.strip():
+            continue
+        cid = line.split()[0]
+        if Path(cid).name != cid:
+            raise ParseError(f"clip {cid!r}: it is not a file name", ln, manifest)
+        if cid in first:
+            raise ParseError(f"clip {cid!r}: line {first[cid]} named it first", ln, manifest)
+        first[cid] = ln
+    return sorted(first)
 
 
 def _load_dataset(data_dir: Path):

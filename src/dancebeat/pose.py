@@ -6,6 +6,7 @@ rest of the pipeline a ground truth to be verified against.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,15 +17,18 @@ from .errors import ConfigError, NumericalError, ParseError
 
 @dataclass
 class _Matrix:
-    """A finite, nonempty `dims`-D float64 array, at a finite positive `fps` if it has one."""
+    """A finite, nonempty float64 array, at a finite positive `fps` if it has one.
+    Each kind declares its file's `header`: a field per axis, rows first, then
+    `fps` if the kind has one; `row` names a row in `load`'s errors."""
 
     data: np.ndarray
-    dims = 2
+    row = "row"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != self.dims or 0 in self.data.shape:
-            raise ConfigError(f"{self.what} must be {self.dims}-D and nonempty, "
+        dims = len(self.header.split()) - self.header.endswith(" fps")
+        if self.data.ndim != dims or 0 in self.data.shape:
+            raise ConfigError(f"{self.what} must be {dims}-D and nonempty, "
                               f"got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ConfigError(f"{self.what} contains non-finite values")
@@ -38,7 +42,8 @@ class PoseSequence(_Matrix):
 
     fps: float
     what = "pose data"
-    dims = 3
+    header = "T J C fps"
+    row = "frame"
 
     def __post_init__(self):
         super().__post_init__()
@@ -86,12 +91,14 @@ class ConditioningFeatures(_Matrix):
     """Precomputed or synthetic per-frame conditioning vectors (T_v x D_v)."""
 
     what = "conditioning"
+    header = "T_v D_v"
 
 
 class MusicLatent(_Matrix):
     """T_m x d latent sequence; the generation target."""
 
     what = "latent"
+    header = "T_m d"
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +208,9 @@ def synth_latent(
     data = np.zeros((latent_len, dim))
     if dim > 1:
         data[:, 1:] = LATENT_NOISE_AMP * rng.standard_normal((latent_len, dim - 1))
-    idx = np.arange(latent_len, dtype=np.float64)
-    for i in map_to_latent(beats, latent_len):
-        bump = np.exp(-0.5 * ((idx - i) / LATENT_PULSE_SIGMA) ** 2)
-        data[:, 0] = np.maximum(data[:, 0], bump)
+    idx = np.arange(latent_len, dtype=np.float64)[:, None]
+    pulses = np.exp(-0.5 * ((idx - map_to_latent(beats, latent_len)) / LATENT_PULSE_SIGMA) ** 2)
+    data[:, 0] = pulses.max(axis=1, initial=0.0)  # one pulse per beat, 0 with none
     return MusicLatent(data=data)
 
 
@@ -217,12 +223,9 @@ def synth_conditioning(length: int, dim: int, seed: int = 0) -> ConditioningFeat
 # ---------------------------------------------------------------------------
 # text formats
 #
-# Matrix files share one layout: a header line, then one line of decimals
-# per row. Its first field counts the rows; the product of its other
-# integer fields is the row width.
-# Pose file: header "T J C fps", then T lines of J*C decimals.
-# Conditioning file: header "T_v D_v", then T_v lines of D_v decimals.
-# Latent file: header "T_m d", then T_m lines of d decimals.
+# Matrix files share one layout: the header its kind declares, then one
+# line of decimals per row. Its first field counts the rows; the product of
+# its other integer fields is the row width.
 # BeatGrid file: exactly two lines, "timeline_len fps" then space-separated frames.
 
 
@@ -243,32 +246,29 @@ def _check_finite(rows: np.ndarray, fault) -> None:
         raise fault(int(ok.argmin()))
 
 
-def write_matrix(path, head: tuple, rows: np.ndarray) -> None:
-    """Write `head` (ints as-is, floats via repr) on line 1, then one line of
-    exactly round-tripping decimals per row of the 2-D `rows`. A non-finite
-    value, which `read_matrix` refuses, is refused before the file is opened."""
+def save(m: _Matrix, path) -> None:
+    """Write `m`'s shape, then its fps by repr if its kind has one, on line 1,
+    then one line of exactly round-tripping decimals per row. A non-finite
+    value, which `load` refuses, is refused before the file is opened."""
+    rows = m.data.reshape(len(m.data), -1)
     _check_finite(rows, lambda k: NumericalError(f"{path}: row {k}: non-finite value, not written"))
-    fields = (repr(float(v)) if isinstance(v, float) else str(v) for v in head)
+    fps = [repr(float(m.fps))] if m.header.endswith(" fps") else []
     with open(path, "w", encoding="utf-8") as f:
-        f.write(" ".join(fields) + "\n")
+        f.write(" ".join([*map(str, m.data.shape), *fps]) + "\n")
         for row in rows:
             f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
-def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[list, np.ndarray]:
-    """Parse a matrix file whose header holds the fields named in `header`,
-    all positive integers except the last `floats`, which are finite floats.
-
-    The array is sized from the file's rows once the first has the header's
-    width. Of the first faulty row, the count, then the values, then their
-    finiteness is reported. Returns (header values, (rows, width) array).
-    """
+def load(cls, path) -> _Matrix:
+    """The `cls` a matrix file holds, its header's fields positive integers but
+    a trailing finite `fps`. The array is sized from the file's rows once the
+    first has the header's width. Of the first faulty row, the count, then the
+    values, then their finiteness is reported; what `cls` refuses, at line 1."""
     lines = read_lines(path)
-    names = header.split()
     head = lines[0].split() if lines else []
-    if len(head) != len(names):
-        raise ParseError(f"header must be {header!r}", 1, path)
-    n_int = len(names) - floats
+    if len(head) != len(cls.header.split()):
+        raise ParseError(f"header must be {cls.header!r}", 1, path)
+    n_int = len(head) - cls.header.endswith(" fps")
     try:
         values = [int(v) for v in head[:n_int]] + [float(v) for v in head[n_int:]]
     except ValueError as e:
@@ -277,7 +277,7 @@ def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[
         raise ParseError(f"bad header {lines[0]!r}: sizes must be positive, floats finite",
                          1, path)
     width = math.prod(values[1:n_int])
-    nonfinite = lambda k: ParseError(f"{what} {k}: non-finite value", k + 2, path)
+    nonfinite = lambda k: ParseError(f"{cls.row} {k}: non-finite value", k + 2, path)
     data = np.empty((0, 0))
     for i, text in enumerate(lines[1:]):
         parts = text.split()
@@ -287,15 +287,15 @@ def read_matrix(path, header: str, floats: int = 0, what: str = "row") -> tuple[
             row = list(map(float, parts))
         except ValueError as e:
             _check_finite(data[:i], nonfinite)
-            raise ParseError(f"{what} {i}: {e}", i + 2, path)
+            raise ParseError(f"{cls.row} {i}: {e}", i + 2, path)
         if i == 0:  # a row has the header's width, so the file's size bounds the array
             data = np.empty((len(lines) - 1, width))
         data[i] = row
     _check_finite(data, nonfinite)
     if len(data) != values[0]:
-        raise ParseError(f"expected {values[0]} {what}s, file has {len(data)}",
+        raise ParseError(f"expected {values[0]} {cls.row}s, file has {len(data)}",
                          len(lines), path)
-    return values, data
+    return parsed(cls, path, 1, data.reshape(values[:n_int]), *values[n_int:])
 
 
 def parsed(cls, path, line: int, *args):
@@ -306,29 +306,10 @@ def parsed(cls, path, line: int, *args):
         raise ParseError(str(e), line, path)
 
 
-def save_pose_sequence(p: PoseSequence, path) -> None:
-    write_matrix(path, (*p.data.shape, float(p.fps)), p.data.reshape(p.frames, -1))
-
-
-def load_pose_sequence(path) -> PoseSequence:
-    (T, J, C, fps), rows = read_matrix(path, "T J C fps", floats=1, what="frame")
-    return parsed(PoseSequence, path, 1, rows.reshape(T, J, C), fps)
-
-
-def save_conditioning(c: ConditioningFeatures, path) -> None:
-    write_matrix(path, c.data.shape, c.data)
-
-
-def load_conditioning(path) -> ConditioningFeatures:
-    return ConditioningFeatures(data=read_matrix(path, "T_v D_v")[1])
-
-
-def save_latent(z: MusicLatent, path) -> None:
-    write_matrix(path, z.data.shape, z.data)
-
-
-def load_latent(path) -> MusicLatent:
-    return MusicLatent(data=read_matrix(path, "T_m d")[1])
+save_pose_sequence = save_conditioning = save_latent = save
+load_pose_sequence = functools.partial(load, PoseSequence)
+load_conditioning = functools.partial(load, ConditioningFeatures)
+load_latent = functools.partial(load, MusicLatent)
 
 
 def save_beat_grid(g: BeatGrid, path) -> None:

@@ -11,6 +11,7 @@ differentiable with respect to every parameter.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -20,8 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .errors import ConfigError
-from .pose import (PoseSequence, _Matrix, local_minima, motion_diff, parsed, read_matrix,
-                   write_matrix)
+from .pose import PoseSequence, _Matrix, load, local_minima, motion_diff, save
 from .tensor import Tensor
 
 
@@ -105,6 +105,7 @@ class RhythmEmbedding(_Matrix):
 
     fps: float
     what = "rhythm embedding"
+    header = "T D fps"
 
 
 def _conv_cols(signal_2d: np.ndarray, bank: list[np.ndarray]) -> np.ndarray:
@@ -221,14 +222,5 @@ def baseline_binary_rhythm(p: PoseSequence, dim: int) -> np.ndarray:
     return np.tile(b[:, None], (1, dim))
 
 
-# ---------------------------------------------------------------------------
-# text export: header "T D fps" then T rows of D decimals
-
-
-def save_rhythm(r: RhythmEmbedding, path) -> None:
-    write_matrix(path, (*r.data.shape, float(r.fps)), r.data)
-
-
-def load_rhythm(path) -> RhythmEmbedding:
-    (_T, _D, fps), data = read_matrix(path, "T D fps", floats=1)
-    return parsed(RhythmEmbedding, path, 1, data, fps)
+save_rhythm = save
+load_rhythm = functools.partial(load, RhythmEmbedding)

@@ -337,7 +337,8 @@ def tslice(a, key) -> Tensor:
             index = np.arange(size).reshape(sa.shape)[key]
             sa._accum(np.bincount(index.ravel(), g.ravel(), minlength=size).reshape(sa.shape))
 
-    return _emit(a.data[key].copy(), (a,), bwd)
+    out = a.data[key]  # a fresh array for an integer-array key, else a view to copy
+    return _emit(out.copy() if np.may_share_memory(out, a.data) else out, (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

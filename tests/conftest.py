@@ -495,7 +495,7 @@ def read_wav_header(path) -> dict:
 
 # ---------------------------------------------------------------------------
 # the matrix text file, one repr(float(v)) per value (byte oracle for
-# pose.write_matrix), and a checkpoint blob writer that keeps the manifest's
+# pose.save), and a checkpoint blob writer that keeps the manifest's
 # length and digest true, so a test can plant any values behind them
 
 

@@ -711,8 +711,7 @@ class TestAlignMode:
                    "--rhythm", str(r_path), "--out", str(a_path)) == 0
         r = rhythm.load_rhythm(r_path)
         want = flowgen.mean_pool_align(Tensor(r.data), 10).data
-        got = pose.read_matrix(a_path, "T_m D fps", floats=1)[1]
-        assert np.array_equal(got, want)
+        assert np.array_equal(rhythm.load_rhythm(a_path).data, want)
 
 
 class TestRhythmMode:
@@ -731,7 +730,7 @@ class TestRhythmMode:
         model = checkpoint.load_model(ckpt)
         p = pose.load_pose_sequence(data / "clip_000.pose")
         want = flowgen.rhythm_condition_tensor(flowgen.rhythm_input(p, model), model).data
-        assert np.array_equal(pose.read_matrix(a_path, "T_m D fps", floats=1)[1], want)
+        assert np.array_equal(rhythm.load_rhythm(a_path).data, want)
 
 
 class TestConfigValues:
@@ -769,3 +768,23 @@ class TestParseErrorsNameTheFile:
                           "--data", str(data), "--generated", str(data))
         assert rc == 1 and len(err) == 1, err
         assert err[0].startswith(f"error: {bad}: line 1: bad header: "), err
+
+
+class TestManifest:
+    """A manifest names each clip once, as a plain file name in `--data`."""
+
+    @pytest.mark.parametrize("names, fault", [
+        (["clip_000", "clip_001", "clip_000"], "line 3: clip 'clip_000': line 1 named it first"),
+        (["clip_000", "../other/clip_001"],
+         "line 2: clip '../other/clip_001': it is not a file name"),
+    ], ids=["twice", "path"])
+    def test_refused_before_training(self, tmp_path, cfg_file, capsys, names, fault):
+        data, other, ckpt = tmp_path / "data", tmp_path / "other", tmp_path / "model"
+        for d in (data, other):  # every named clip's files exist
+            assert run("--config", cfg_file, "synth", "--out", str(d), "--n-clips", "2") == 0
+        manifest = data / "manifest.txt"
+        manifest.write_text("".join(f"{n} tempo=120.0\n" for n in names))
+        rc, err = run_err(capsys, "--config", cfg_file, "train", "--data", str(data),
+                          "--out", str(ckpt))
+        assert rc == 1 and err == [f"error: {manifest}: {fault}"], err
+        assert list(tmp_path.glob("model*")) == []

@@ -232,21 +232,20 @@ class TestMatrixCodec:
     @example(rows=EDGE_VALUES)
     @settings(max_examples=100, deadline=None)
     def test_finite_matrix_round_trips_bit_exact(self, tmp_path_factory, rows):
-        path = tmp_path_factory.getbasetemp() / "round_trip.matrix"
-        head = (*rows.shape, 29.97)
-        pose.write_matrix(path, head, rows)
-        assert path.read_text(encoding="utf-8") == matrix_text(head, rows)
-        values, got = pose.read_matrix(path, "T D fps", floats=1)
-        assert values == list(head)
-        assert got.dtype == np.float64 and got.tobytes() == rows.tobytes()
+        path = tmp_path_factory.getbasetemp() / "round_trip.rhythm"
+        rhythm.save_rhythm(rhythm.RhythmEmbedding(data=rows, fps=29.97), path)
+        assert path.read_text(encoding="utf-8") == matrix_text((*rows.shape, 29.97), rows)
+        got = rhythm.load_rhythm(path)
+        assert got.fps == 29.97
+        assert got.data.dtype == np.float64 and got.data.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, bad):
         path = tmp_path / "z.latent"
-        z = np.zeros((5, 3))
-        z[2, 1], z[4, 0] = bad, bad
+        z = pose.MusicLatent(data=np.zeros((5, 3)))
+        z.data[2, 1], z.data[4, 0] = bad, bad  # after the type's own check
         with pytest.raises(NumericalError) as e:
-            pose.write_matrix(path, z.shape, z)
+            pose.save_latent(z, path)
         assert str(e.value) == f"{path}: row 2: non-finite value, not written"
         assert not path.exists()
 
@@ -264,11 +263,43 @@ class TestMatrixCodec:
         ("1 2\n1 2\n3 4\n", "line 3: expected 1 rows, file has 2"),
     ])
     def test_first_faulty_row_wins(self, tmp_path, text, fault):
-        path = tmp_path / "m.matrix"
+        path = tmp_path / "c.cond"
         path.write_text(text)
         with pytest.raises(ParseError) as e:
-            pose.read_matrix(path, "T D")
+            pose.load_conditioning(path)
         assert str(e.value) == f"{path}: {fault}"
+
+    # each matrix kind, one valid object of it and its file's loader
+    KINDS = [
+        (pose.PoseSequence, lambda: pose.PoseSequence(data=np.zeros((3, 2, 2)), fps=30),
+         pose.load_pose_sequence),
+        (pose.ConditioningFeatures, lambda: pose.ConditioningFeatures(data=np.zeros((4, 3))),
+         pose.load_conditioning),
+        (pose.MusicLatent, lambda: pose.MusicLatent(data=np.zeros((5, 2))), pose.load_latent),
+        (rhythm.RhythmEmbedding, lambda: rhythm.RhythmEmbedding(data=np.zeros((6, 4)), fps=7.5),
+         rhythm.load_rhythm),
+    ]
+    KIND_IDS = ["pose", "cond", "latent", "rhythm"]
+
+    @pytest.mark.parametrize("kind, make, load", KINDS, ids=KIND_IDS)
+    def test_header_has_a_field_per_axis_then_fps(self, tmp_path, kind, make, load):
+        m, path = make(), tmp_path / "m.matrix"
+        pose.save(m, path)
+        head = path.read_text().splitlines()[0].split()
+        fps = [repr(float(m.fps))] if hasattr(m, "fps") else []
+        assert len(kind.header.split()) == m.data.ndim + len(fps)
+        assert head == [*map(str, m.data.shape), *fps]
+        assert type(load(path)) is kind
+
+    @pytest.mark.parametrize("kind, make, load", KINDS, ids=KIND_IDS)
+    def test_header_with_a_field_too_many_is_refused(self, tmp_path, kind, make, load):
+        path = tmp_path / "m.matrix"
+        pose.save(make(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0].rstrip("\n") + " 1\n" + "".join(lines[1:]))
+        with pytest.raises(ParseError) as e:
+            load(path)
+        assert str(e.value) == f"{path}: line 1: header must be {kind.header!r}"
 
     def test_bytes_unchanged_by_round_trip(self, tmp_path, rng):
         path = tmp_path / "p.pose"
