@@ -7,7 +7,8 @@ Manifest lines, in this order:
     tensor <name> <d1[,d2,...]> <byte offset>
 
 The config lines are read by the config file's parser, never evaluated, and
-must be exactly `to_text()`'s; the tensor lines are `flowgen.layout(config)`'s.
+must be exactly `to_text()`'s (a `--ckpt` command's run config must agree on
+each field `RunConfig` marks `model`); the tensor lines are `layout(config)`'s.
 Loading checks the blob file's size against the recorded length, that length
 against the config and every line against the config's text and layout before
 it reads the blob, checks its digest, then that it is finite, as saving does.
@@ -29,11 +30,6 @@ from .flowgen import TrainedModel, build_model, layout, parameter_count
 from .pose import read_lines
 
 MAGIC = "dancebeat-checkpoint 4"
-
-# RunConfig fields a checkpoint fixes: model shapes, timeline and ablation switches
-MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden_a",
-              "blocks", "hidden", "heads", "latent_len", "latent_dim", "cond_dim",
-              "rhythm_mode", "align_mode")
 
 
 def _files(path) -> tuple[Path, Path]:

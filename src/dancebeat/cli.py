@@ -14,7 +14,7 @@ import numpy as np
 
 from . import align as align_mod
 from . import checkpoint, clicktrack, flowgen, metrics, pose, rhythm
-from .config import RunConfig, load_config
+from .config import MODEL_KEYS, RunConfig, load_config
 from .errors import ConfigError, DanceBeatError, ParseError
 from .pose import BeatGrid
 
@@ -91,7 +91,7 @@ def _load_checkpoint(cfg: RunConfig, path) -> flowgen.TrainedModel:
     if path is None:
         return flowgen.init_model(cfg)
     model = checkpoint.load_model(path)
-    for key in checkpoint.MODEL_KEYS:
+    for key in MODEL_KEYS:
         ours, theirs = getattr(cfg, key), getattr(model.config, key)
         if ours != theirs:
             raise ConfigError(f"the run config sets {key} = {ours!r} but checkpoint "

@@ -6,112 +6,101 @@ defaults are scaled down so the whole pipeline runs on one machine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ParseError
 from .pose import read_lines
 
-# --print-config labels an unset field "reference default" if listed here, else "desk default"
-_REFERENCE = {"duration_s", "batch_size", "epochs", "learning_rate",
-              "adam_beta1", "adam_beta2", "steps", "cfg_scale"}
+POSITIVE = ("must be positive", lambda v: v > 0)
+AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
+BELOW_1 = ("must be in [0, 1)", lambda v: 0 <= v < 1)
+
+
+def _one_of(*names: str):
+    return f"must be one of {names}", lambda v: v in names
+
+
+def _field(default, rule, model: bool = False, reference: bool = False):
+    """A RunConfig field whose value must pass `rule`, (the words its error uses, a test);
+    `model` if a checkpoint fixes it, `reference` if its default is the reference recipe's."""
+    return field(default=default, metadata={"rule": rule, "model": model, "reference": reference})
 
 
 @dataclass
 class RunConfig:
     # rhythm extraction
-    scales: int = 4
-    base_period: float = 4.0
-    bins: int = 8
-    rhythm_dim: int = 64
-    hidden_w: int = 16
-    hidden_a: int = 16
+    scales: int = _field(4, POSITIVE, model=True)
+    base_period: float = _field(4.0, ("must be >= 2 frames", lambda v: v >= 2), model=True)
+    bins: int = _field(8, POSITIVE, model=True)
+    rhythm_dim: int = _field(64, POSITIVE, model=True)
+    hidden_w: int = _field(16, POSITIVE, model=True)
+    hidden_a: int = _field(16, POSITIVE, model=True)
     # synthetic benchmark
-    fps: float = 30.0
-    joints: int = 17
-    coords: int = 2
-    duration_s: float = 5.0
-    amplitude: float = 0.1
-    noise_std: float = 0.005
-    beat_joint_fraction: float = 0.5
-    tempo_min: float = 60.0
-    tempo_max: float = 180.0
-    cond_len: int = 10
-    cond_dim: int = 8
+    fps: float = _field(30.0, POSITIVE)
+    joints: int = _field(17, POSITIVE)
+    coords: int = _field(2, POSITIVE)
+    duration_s: float = _field(5.0, POSITIVE, reference=True)
+    amplitude: float = _field(0.1, AT_LEAST_0)
+    noise_std: float = _field(0.005, AT_LEAST_0)
+    beat_joint_fraction: float = _field(0.5, ("must be in (0, 1]", lambda v: 0 < v <= 1))
+    tempo_min: float = _field(60.0, POSITIVE)
+    tempo_max: float = _field(180.0, POSITIVE)
+    cond_len: int = _field(10, POSITIVE)
+    cond_dim: int = _field(8, POSITIVE, model=True)
     # latent timeline
-    latent_len: int = 50
-    latent_dim: int = 8
+    latent_len: int = _field(50, POSITIVE, model=True)
+    latent_dim: int = _field(8, POSITIVE, model=True)
     # velocity field
-    blocks: int = 2
-    hidden: int = 64
-    heads: int = 4
+    blocks: int = _field(2, POSITIVE, model=True)
+    hidden: int = _field(64, POSITIVE, model=True)
+    heads: int = _field(4, POSITIVE, model=True)
     # training
-    batch_size: int = 4
-    epochs: int = 100
-    learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    cond_drop_prob: float = 0.1
-    grad_clip: float = 1.0  # 0 disables clipping
-    # ablation switches: rhythm_mode in {learned, mean, binary, none},
-    # align_mode in {attn, meanpool}
-    rhythm_mode: str = "learned"
-    align_mode: str = "attn"
+    batch_size: int = _field(4, POSITIVE, reference=True)
+    epochs: int = _field(100, POSITIVE, reference=True)
+    learning_rate: float = _field(1e-4, POSITIVE, reference=True)
+    adam_beta1: float = _field(0.9, BELOW_1, reference=True)
+    adam_beta2: float = _field(0.95, BELOW_1, reference=True)
+    cond_drop_prob: float = _field(0.1, BELOW_1)
+    grad_clip: float = _field(1.0, AT_LEAST_0)  # 0 disables clipping
+    # ablation switches
+    rhythm_mode: str = _field("learned", _one_of("learned", "mean", "binary", "none"), model=True)
+    align_mode: str = _field("attn", _one_of("attn", "meanpool"), model=True)
     # sampling
-    steps: int = 32
-    cfg_scale: float = 4.0
+    steps: int = _field(32, POSITIVE, reference=True)
+    cfg_scale: float = _field(4.0, AT_LEAST_0, reference=True)
     # evaluation
-    window_latent: float = 1.0
-    rel_threshold: float = 0.5
+    window_latent: float = _field(1.0, AT_LEAST_0)
+    rel_threshold: float = _field(0.5, ("must be in [0, 1]", lambda v: 0 <= v <= 1))
     # master seed
-    seed: int = 0
+    seed: int = _field(0, AT_LEAST_0)
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("cond_drop_prob", "adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("batch_size", "epochs", "learning_rate", "scales", "bins",
-                     "rhythm_dim", "blocks", "hidden", "heads", "hidden_w", "hidden_a",
-                     "joints", "coords", "cond_len", "cond_dim", "latent_len", "latent_dim",
-                     "fps", "duration_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("amplitude", "noise_std", "grad_clip", "window_latent"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.base_period < 2:
-            raise ConfigError(f"base_period must be >= 2 frames, got {self.base_period}")
-        if not 0 <= self.rel_threshold <= 1:
-            raise ConfigError(f"rel_threshold must be in [0, 1], got {self.rel_threshold}")
+            value, (words, test) = getattr(self, f.name), f.metadata["rule"]
+            if f.type == "float" and not math.isfinite(value):
+                words = "must be finite"
+            elif f.type == "int" and not isinstance(value, numbers.Integral):
+                words = "must be an integer"
+            elif test(value):
+                continue
+            raise ConfigError(f"{f.name} {words}, got {value!r}")
         if self.duration_s * self.fps > 2 ** 16:  # caps a clip's frames
             raise ConfigError(f"duration_s * fps = {self.duration_s * self.fps} > 2^16 frames")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
-        if self.rhythm_mode not in ("learned", "mean", "binary", "none"):
-            raise ConfigError(f"unknown rhythm_mode {self.rhythm_mode!r}")
-        if self.align_mode not in ("attn", "meanpool"):
-            raise ConfigError(f"unknown align_mode {self.align_mode!r}")
-        if self.steps < 1:
-            raise ConfigError(f"need at least one solver step, got {self.steps}")
-        if self.cfg_scale < 0:
-            raise ConfigError(f"guidance scale must be >= 0, got {self.cfg_scale}")
-        if self.tempo_min <= 0 or self.tempo_max < self.tempo_min:
-            raise ConfigError(f"bad tempo range [{self.tempo_min}, {self.tempo_max}]")
-        if not 0 < self.beat_joint_fraction <= 1:
-            raise ConfigError(f"beat_joint_fraction must be in (0, 1], got {self.beat_joint_fraction}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.tempo_max < self.tempo_min:
+            raise ConfigError(f"tempo_max ({self.tempo_max}) must be >= tempo_min ({self.tempo_min})")
 
     def to_text(self, labeled: bool = False) -> str:
         label = lambda f: ("  # set by this run" if getattr(self, f.name) != f.default else
-                           f"  # {'reference' if f.name in _REFERENCE else 'desk'} default")
+                           f"  # {'reference' if f.metadata['reference'] else 'desk'} default")
         return "".join(f"{f.name} = {getattr(self, f.name)!r}{label(f) if labeled else ''}\n"
                        for f in fields(self))
 
 
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+MODEL_KEYS = tuple(f.name for f in fields(RunConfig) if f.metadata["model"])
 
 
 def parse_config(lines: list[str], path, first: int = 1) -> RunConfig:

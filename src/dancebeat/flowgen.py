@@ -281,8 +281,7 @@ def build_model(cfg: RunConfig, flat: np.ndarray,
     vf = VelocityFieldParams(heads=cfg.heads,
                              layers=[TransformerBlock(**block(i)) for i in range(cfg.blocks)],
                              **{n: x for n, x in t["vf"].items() if "." not in n})
-    return TrainedModel(vf=vf, rhythm_net=RhythmParams(scales=cfg.scales, bins=cfg.bins,
-                                                       **t["rhythm"]),
+    return TrainedModel(vf=vf, rhythm_net=RhythmParams(bins=cfg.bins, **t["rhythm"]),
                         queries=ContextQueries(t["align"]["queries"]),
                         bank=build_wavelet_bank(cfg.scales, cfg.base_period), config=cfg,
                         loss_history=[], flat=flat,

@@ -51,7 +51,7 @@ def build_wavelet_bank(scales: int, base_period: float) -> list[np.ndarray]:
 
 class RhythmParams(SimpleNamespace):
     """Learnable parameters, named by `layout`: per-joint weight net, fusion
-    projection, gate net; `scales` and `bins` shape the fusion input."""
+    projection, gate net; `bins` is the clip features' phase-histogram bins."""
 
     @staticmethod
     def layout(scales: int, bins: int, dim: int, hidden_w: int, hidden_a: int) -> tz.Layout:
@@ -66,8 +66,7 @@ class RhythmParams(SimpleNamespace):
     def init(cls, rng: np.random.Generator, scales: int, bins: int, dim: int,
              hidden_w: int, hidden_a: int) -> "RhythmParams":
         layout = cls.layout(scales, bins, dim, hidden_w, hidden_a)
-        return cls(scales=scales, bins=bins,
-                   **tz.parameters(layout, np.empty(tz.layout_size(layout)), rng))
+        return cls(bins=bins, **tz.parameters(layout, np.empty(tz.layout_size(layout)), rng))
 
 
 @dataclass

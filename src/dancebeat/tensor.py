@@ -341,18 +341,6 @@ def tslice(a, key) -> Tensor:
     return _emit(out.copy() if np.may_share_memory(out, a.data) else out, (a,), bwd)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    sa = a.slot
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        sa._accum(np.broadcast_to(g, sa.shape).copy())
-
-    return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
 def mse(a, target) -> Tensor:
     """Mean of the squared differences between `a` and a constant `target`;
     gradient flows to `a` only."""

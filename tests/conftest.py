@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -9,6 +10,7 @@ import pytest
 from dancebeat import clicktrack, flowgen
 from dancebeat import tensor as tz
 from dancebeat.align import segment_slots
+from dancebeat.config import RunConfig
 from dancebeat.errors import ConfigError, ShapeError
 from dancebeat.pose import MusicLatent, motion_diff
 from dancebeat.rhythm import phase_bins
@@ -131,9 +133,9 @@ def fusion_features_loop(feats, w: Tensor, bins: int) -> Tensor:
     for k in range(bins):
         for s in range(S):
             mass = feats.mag_s[:, :, s] * (idx[:, :, s] == k)
-            cols.append(tz.tsum(tz.mul(w, mass), axis=1, keepdims=True))
+            cols.append(tsum(tz.mul(w, mass), axis=1, keepdims=True))
     for s in range(S):
-        cols.append(tz.tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
+        cols.append(tsum(tz.mul(w, feats.wavelet[:, :, s]), axis=1, keepdims=True))
     return tz.concat(cols, axis=1)
 
 
@@ -205,6 +207,18 @@ def sub(a, b) -> Tensor:
     return _emit(a.data - b.data, (a, b), bwd)
 
 
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = tz.as_tensor(a)
+    sa = a.slot
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        sa._accum(np.broadcast_to(g, sa.shape).copy())
+
+    return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = tz.as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
@@ -260,7 +274,7 @@ def mean_pool_weighted(r: Tensor, latent_len: int) -> Tensor:
     inside the segment and 0 past its end."""
     slots, inside = segment_slots(r.shape[0], latent_len)
     weights = inside / inside.sum(axis=1, keepdims=True)
-    return tz.tsum(tz.mul(r[slots], weights[:, :, None]), axis=1)
+    return tsum(tz.mul(r[slots], weights[:, :, None]), axis=1)
 
 
 def self_attention_loop(x: Tensor, blk, heads: int) -> Tensor:
@@ -512,6 +526,59 @@ def write_blob(ckpt: Path, flat: np.ndarray) -> None:
     lines[1] = f"blob {len(blob)} {hashlib.sha256(blob).hexdigest()}"
     manifest.write_text("\n".join(lines) + "\n")
     ckpt.with_suffix(".bin").write_bytes(blob)
+
+
+# ---------------------------------------------------------------------------
+# the run config's rules as name lists and one-off checks, before each field
+# declared its own rule, checkpoint role and label (oracle for RunConfig)
+
+ORACLE_REFERENCE = {"duration_s", "batch_size", "epochs", "learning_rate",
+                    "adam_beta1", "adam_beta2", "steps", "cfg_scale"}
+ORACLE_MODEL_KEYS = ("scales", "base_period", "bins", "rhythm_dim", "hidden_w", "hidden_a",
+                     "blocks", "hidden", "heads", "latent_len", "latent_dim", "cond_dim",
+                     "rhythm_mode", "align_mode")
+
+
+def config_oracle(self) -> None:
+    """Raises ConfigError where the name-list rules refused the RunConfig
+    fields `self` carries (any object with those attributes)."""
+    for f in dataclasses.fields(RunConfig):
+        if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+    for name in ("cond_drop_prob", "adam_beta1", "adam_beta2"):
+        if not 0 <= getattr(self, name) < 1:
+            raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+    for name in ("batch_size", "epochs", "learning_rate", "scales", "bins",
+                 "rhythm_dim", "blocks", "hidden", "heads", "hidden_w", "hidden_a",
+                 "joints", "coords", "cond_len", "cond_dim", "latent_len", "latent_dim",
+                 "fps", "duration_s"):
+        if getattr(self, name) <= 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+    for name in ("amplitude", "noise_std", "grad_clip", "window_latent"):
+        if getattr(self, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+    if self.base_period < 2:
+        raise ConfigError(f"base_period must be >= 2 frames, got {self.base_period}")
+    if not 0 <= self.rel_threshold <= 1:
+        raise ConfigError(f"rel_threshold must be in [0, 1], got {self.rel_threshold}")
+    if self.duration_s * self.fps > 2 ** 16:  # caps a clip's frames
+        raise ConfigError(f"duration_s * fps = {self.duration_s * self.fps} > 2^16 frames")
+    if self.hidden % self.heads != 0:
+        raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
+    if self.rhythm_mode not in ("learned", "mean", "binary", "none"):
+        raise ConfigError(f"unknown rhythm_mode {self.rhythm_mode!r}")
+    if self.align_mode not in ("attn", "meanpool"):
+        raise ConfigError(f"unknown align_mode {self.align_mode!r}")
+    if self.steps < 1:
+        raise ConfigError(f"need at least one solver step, got {self.steps}")
+    if self.cfg_scale < 0:
+        raise ConfigError(f"guidance scale must be >= 0, got {self.cfg_scale}")
+    if self.tempo_min <= 0 or self.tempo_max < self.tempo_min:
+        raise ConfigError(f"bad tempo range [{self.tempo_min}, {self.tempo_max}]")
+    if not 0 < self.beat_joint_fraction <= 1:
+        raise ConfigError(f"beat_joint_fraction must be in (0, 1], got {self.beat_joint_fraction}")
+    if self.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from dancebeat.errors import ConfigError
 from dancebeat.rhythm import RhythmEmbedding
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import finite_difference, relerr
+from conftest import finite_difference, relerr, tsum
 
 
 class TestSegmentSpans:
@@ -132,7 +132,7 @@ class TestAlign:
         c = rng.standard_normal((2, 3))
 
         def loss():
-            return tz.tsum(tz.mul(align.align_tensor(Tensor(data), q), c))
+            return tsum(tz.mul(align.align_tensor(Tensor(data), q), c))
 
         with Tape():
             backward(loss())

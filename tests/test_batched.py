@@ -21,7 +21,8 @@ from conftest import (align_loop, attention_pool_loop, binary_rhythm_loop, conv_
                       finite_difference, fusion_features_loop, fusion_features_matmul,
                       latent_peaks_loop, layer_norm_oracle, local_minima_loop,
                       map_to_latent_loop, mean_pool_loop, mean_pool_weighted, mse_chain,
-                      relerr, self_attention_loop, self_attention_scaled_scores, softmax_oracle)
+                      relerr, self_attention_loop, self_attention_scaled_scores, softmax_oracle,
+                      tsum)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -32,7 +33,7 @@ def value_and_grads(build, leaves, c):
         leaf.grad = None
     with Tape():
         out = build()
-        backward(tz.tsum(tz.mul(out, c)))
+        backward(tsum(tz.mul(out, c)))
     return out.data, [leaf.grad for leaf in leaves]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dancebeat import checkpoint, cli, flowgen, pose, rhythm
-from dancebeat.config import RunConfig, load_config
+from dancebeat.config import MODEL_KEYS, RunConfig, load_config
 from dancebeat.errors import ConfigError, NumericalError, ParseError
 
-from conftest import matrix_text, relerr
+from conftest import ORACLE_MODEL_KEYS, ORACLE_REFERENCE, config_oracle, matrix_text, relerr
 
 # -0.0, ± the smallest subnormal, the largest subnormal, the smallest normal,
 # ± the largest float, and both sides of repr's switches to exponent notation
@@ -322,6 +324,17 @@ MATRICES = matrices(st.tuples(ANY_SIZE, ANY_SIZE))
 # 5e-324 up to the largest float; or any float, NaN, ±inf, 0 and negatives included
 FPS = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.floats()
 ROUND_TRIP = settings(max_examples=60, deadline=None)
+# run config values: mostly valid, then any of the field's type
+CONFIG_FIELDS = {
+    "fps": st.floats(1.0, 60.0) | st.floats(),
+    "learning_rate": st.floats(1e-6, 1.0) | st.floats(),
+    "cond_drop_prob": st.floats(0.0, 1.0, exclude_max=True) | st.floats(),
+    "latent_len": st.integers(1, 300) | st.integers(-2, 0),
+    "hidden": st.sampled_from([8, 16, 64]) | st.integers(-1, 64),
+    "heads": st.sampled_from([1, 2, 4, 8]) | st.integers(-1, 8),
+    "seed": st.integers(0, 2 ** 64) | st.integers(-2, -1),
+    "rhythm_mode": st.sampled_from(["learned", "mean", "binary", "none"]) | st.text(),
+}
 
 
 class TestEveryFileKindRoundTrips:
@@ -395,16 +408,7 @@ class TestEveryFileKindRoundTrips:
             made, loaded = got
             assert loaded == made
 
-    @given(fields=st.fixed_dictionaries({}, optional={
-        "fps": st.floats(1.0, 60.0) | st.floats(),
-        "learning_rate": st.floats(1e-6, 1.0) | st.floats(),
-        "cond_drop_prob": st.floats(0.0, 1.0, exclude_max=True) | st.floats(),
-        "latent_len": st.integers(1, 300) | st.integers(-2, 0),
-        "hidden": st.sampled_from([8, 16, 64]) | st.integers(-1, 64),
-        "heads": st.sampled_from([1, 2, 4, 8]) | st.integers(-1, 8),
-        "seed": st.integers(0, 2 ** 64) | st.integers(-2, -1),
-        "rhythm_mode": st.sampled_from(["learned", "mean", "binary", "none"]) | st.text(),
-    }))
+    @given(fields=st.fixed_dictionaries({}, optional=CONFIG_FIELDS))
     @ROUND_TRIP
     def test_config(self, tmp_path_factory, fields):
         base = tmp_path_factory.getbasetemp()
@@ -446,3 +450,59 @@ class TestEveryFileKindRoundTrips:
     def test_refused_by_the_type(self, make):
         with pytest.raises(ConfigError):
             make()
+
+
+def _any_value(f: dataclasses.Field):
+    """Values for run config field `f`: test_config's where it has them, and
+    for an int field also values that are not integers."""
+    if f.type == "str":
+        modes = st.sampled_from(["learned", "mean", "binary", "none", "attn", "meanpool"])
+        return CONFIG_FIELDS.get(f.name, modes | st.text())
+    if f.type == "float":
+        return CONFIG_FIELDS.get(f.name, st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e300]) | st.floats())
+    return (CONFIG_FIELDS.get(f.name, st.integers(-2, 70))
+            | st.sampled_from([math.nan, math.inf, -math.inf, 0.5]))
+
+
+CONFIG_VALUES = {f.name: _any_value(f) for f in dataclasses.fields(RunConfig)}
+
+
+class TestRunConfigRules:
+    """Each field's own rule accepts what the name-list rules accepted."""
+
+    @given(fields=st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=5, unique=True)
+           .flatmap(lambda names: st.fixed_dictionaries({n: CONFIG_VALUES[n] for n in names})))
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_what_the_oracle_accepts(self, fields):
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        try:
+            config_oracle(SimpleNamespace(**{**defaults, **fields}))
+            oracle = True
+        except ConfigError:
+            oracle = False
+        try:
+            RunConfig(**fields)
+            ours = True
+        except ConfigError:
+            ours = False
+        event(f"oracle {'accepts' if oracle else 'refuses'}")
+        if any(type(defaults[n]) is int and not isinstance(v, int) for n, v in fields.items()):
+            assert not ours  # an int field refuses what is not an integer
+        else:
+            assert ours == oracle
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(latent_dim=math.nan), "latent_dim must be an integer, got nan"),
+        (dict(blocks=2.5), "blocks must be an integer, got 2.5"),
+        (dict(steps=2.5), "steps must be an integer, got 2.5"),
+    ], ids=["latent_dim-nan", "blocks-2.5", "steps-2.5"])
+    def test_int_field_refuses_what_is_not_an_integer(self, fields, message):
+        with pytest.raises(ConfigError) as e:
+            RunConfig(**fields)
+        assert str(e.value) == message
+
+    def test_model_keys_and_reference_labels_are_the_oracles(self):
+        assert sorted(MODEL_KEYS) == sorted(ORACLE_MODEL_KEYS)
+        labeled = RunConfig().to_text(labeled=True).splitlines()
+        assert {line.split(" = ")[0] for line in labeled
+                if line.endswith("# reference default")} == ORACLE_REFERENCE

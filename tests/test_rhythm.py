@@ -12,7 +12,8 @@ from dancebeat.errors import ConfigError
 from dancebeat.pose import PoseSequence, motion_diff, synth_dance
 from dancebeat.tensor import Tape, Tensor, backward
 
-from conftest import conv1d_same, finite_difference, phase_histograms, reflect_indices, relerr
+from conftest import (conv1d_same, finite_difference, phase_histograms, reflect_indices, relerr,
+                      tsum)
 
 
 def tiny_params(rng, scales=2, bins=4, dim=3):
@@ -259,7 +260,7 @@ class TestFuseAndExtract:
 
         def loss_value():
             out, _ = rhythm.rhythm_core_tensor(feats, params)
-            return tz.tsum(tz.mul(out, c))
+            return tsum(tz.mul(out, c))
 
         leaves = [(name, getattr(params, name))
                   for name, _, _ in rhythm.RhythmParams.layout(2, 4, 3, 4, 4)]

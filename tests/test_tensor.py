@@ -12,7 +12,7 @@ from dancebeat.errors import ConfigError, ContractError, ShapeError
 from dancebeat.tensor import Tape, Tensor, backward
 
 from conftest import (conv1d_same, finite_difference, linear_oracle, reflect_indices, relerr,
-                      sub, tmean, transpose)
+                      sub, tmean, transpose, tsum)
 
 
 def check_grad(build, leaves, eps=1e-5, tol=1e-6):
@@ -44,11 +44,11 @@ class TestMatmul:
     def test_grad_vs_fd(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        check_grad(lambda: tz.tsum(tz.matmul(a, b)), [a, b])
+        check_grad(lambda: tsum(tz.matmul(a, b)), [a, b])
         # analytic check: d sum(AB)/dA = ones @ B^T
         a.grad = None
         with Tape():
-            backward(tz.tsum(tz.matmul(a, b)))
+            backward(tsum(tz.matmul(a, b)))
         assert relerr(a.grad, np.ones((3, 2)) @ b.data.T) < 1e-12
 
 
@@ -90,14 +90,14 @@ class TestConv1dSame:
     def test_grad_vs_fd(self, rng):
         s = Tensor(rng.standard_normal(9), requires_grad=True)
         k = rng.standard_normal(5)
-        check_grad(lambda: tz.tsum(tz.mul(conv1d_same(s, k),
+        check_grad(lambda: tsum(tz.mul(conv1d_same(s, k),
                                           conv1d_same(s, k))), [s])
 
     def test_grad_with_repeated_reflection(self, rng):
         # kernel wider than the signal exercises multi-bounce padding
         s = Tensor(rng.standard_normal(3), requires_grad=True)
         k = rng.standard_normal(7)
-        check_grad(lambda: tz.tsum(tz.mul(conv1d_same(s, k),
+        check_grad(lambda: tsum(tz.mul(conv1d_same(s, k),
                                           conv1d_same(s, k))), [s])
 
 
@@ -122,7 +122,7 @@ class TestSoftmax:
     def test_grad_vs_fd(self, rng):
         x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         c = rng.standard_normal((4, 5))
-        check_grad(lambda: tz.tsum(tz.mul(tz.softmax(x, axis=1), c)), [x])
+        check_grad(lambda: tsum(tz.mul(tz.softmax(x, axis=1), c)), [x])
 
 
 def attention_reference(q, k, v, heads: int) -> np.ndarray:
@@ -148,7 +148,7 @@ class TestAttention:
     def loss_grads(self, q, k, v, heads, c):
         with Tape():
             y = tz.attention(q, k, v, heads)
-            backward(tz.tsum(tz.mul(y, c)))
+            backward(tsum(tz.mul(y, c)))
         return y.data, [t.grad for t in (q, k, v)]
 
     @pytest.mark.parametrize("n", [1, 2, 61])
@@ -158,7 +158,7 @@ class TestAttention:
         c = rng.standard_normal((n, heads * self.DH))
         y = tz.attention(q, k, v, heads).data
         assert relerr(y, attention_reference(q.data, k.data, v.data, heads)) < 1e-14
-        check_grad(lambda: tz.tsum(tz.mul(tz.attention(q, k, v, heads), c)), [q, k, v])
+        check_grad(lambda: tsum(tz.mul(tz.attention(q, k, v, heads), c)), [q, k, v])
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_one_token_gives_q_and_k_exactly_zero_gradient(self, rng, heads):
@@ -200,7 +200,7 @@ class TestAttention:
         tracemalloc.start()
         try:
             with Tape():
-                loss = tz.tsum(tz.mul(tz.attention(q, k, v, heads), c))
+                loss = tsum(tz.mul(tz.attention(q, k, v, heads), c))
                 tracemalloc.reset_peak()
                 backward(loss)
                 _, peak = tracemalloc.get_traced_memory()
@@ -237,7 +237,7 @@ class TestBatchedMaskedAttention:
     def test_grad_vs_fd(self, rng):
         q, k, v, _, mask = self.operands(rng)
         c = rng.standard_normal(q.shape)
-        check_grad(lambda: tz.tsum(tz.mul(tz.attention(q, k, v, self.HEADS, mask), c)),
+        check_grad(lambda: tsum(tz.mul(tz.attention(q, k, v, self.HEADS, mask), c)),
                    [q, k, v])
 
     def test_a_masked_key_gets_exactly_zero_weight_and_gradient(self, rng):
@@ -250,7 +250,7 @@ class TestBatchedMaskedAttention:
                          [False, True, True, False, True, True]])
         with Tape():
             w = tz.attention(q, k, v, 1, np.where(keep, 0.0, -np.inf)[:, None, None, :])
-            backward(tz.tsum(tz.mul(w, rng.standard_normal(w.shape))))
+            backward(tsum(tz.mul(w, rng.standard_normal(w.shape))))
         for b in range(2):
             assert not w.data[b][:, ~keep[b]].any() and (w.data[b][:, keep[b]] > 0).all()
             assert not k.grad[b][~keep[b]].any() and not v.grad[b][~keep[b]].any()
@@ -266,7 +266,7 @@ class TestWeightedScatter:
         values, dense = rng.standard_normal((n, J, S)), rng.standard_normal((n, J, S))
         w = Tensor(rng.standard_normal((n, J)), requires_grad=True)
         c = rng.standard_normal((n, width + S))
-        check_grad(lambda: tz.tsum(tz.mul(tz.weighted_scatter(w, index, values, dense, width),
+        check_grad(lambda: tsum(tz.mul(tz.weighted_scatter(w, index, values, dense, width),
                                           c)), [w])
 
 
@@ -274,14 +274,14 @@ class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape():
-            backward(tz.tsum(tz.mul(x, x)))
+            backward(tsum(tz.mul(x, x)))
         assert np.array_equal(x.grad, [2.0, 4.0])
 
     def test_unreachable_leaf_zero(self):
         x = Tensor([1.0], requires_grad=True)
         y = Tensor([3.0], requires_grad=True)
         with Tape():
-            backward(tz.tsum(tz.mul(x, x)))
+            backward(tsum(tz.mul(x, x)))
         assert y.grad is None
 
     def test_non_scalar_rejected(self):
@@ -294,21 +294,21 @@ class TestBackward:
     def test_shared_subexpression_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape():
-            backward(tz.tsum(tz.add(x, x)))
+            backward(tsum(tz.add(x, x)))
         assert np.array_equal(x.grad, [2.0])
 
     def test_repeated_backward_accumulates(self):
         # each tape's backward adds into the leaves; a spent tape cannot run again
         x = Tensor([1.0], requires_grad=True)
         with Tape():
-            loss = tz.tsum(tz.mul(x, x))
+            loss = tsum(tz.mul(x, x))
             backward(loss)
             g1 = x.grad.copy()
             with pytest.raises(ContractError, match="already unwound this tape"):
                 backward(loss)
         assert np.array_equal(x.grad, g1)
         with Tape():
-            backward(tz.tsum(tz.mul(x, x)))
+            backward(tsum(tz.mul(x, x)))
         assert np.array_equal(x.grad, 2 * g1)
 
     def test_only_leaves_keep_a_gradient(self, rng):
@@ -317,7 +317,7 @@ class TestBackward:
         b = Tensor(rng.standard_normal(2), requires_grad=True)
         with Tape() as tape:
             h = tz.relu(tz.linear(x, w, b))
-            loss = tz.tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1)))
+            loss = tsum(tz.mul(h, tz.softmax(tz.linear(x, w), axis=1)))
             slots = [out for out, _ in tape._records]
             backward(loss)
         assert all(out.grad is None for out in slots)
@@ -329,7 +329,7 @@ class TestBackward:
         with Tape() as tape:
             h = tz.relu(x)
             saved = weakref.ref(h.data)  # matmul's backward reads it
-            loss = tz.tsum(tz.matmul(h, w))
+            loss = tsum(tz.matmul(h, w))
             del h
             assert len(tape) == 3 and saved() is not None
             backward(loss)
@@ -350,7 +350,7 @@ class TestWhatTheTapeKeeps:
             del pre
             # relu's backward and softmax's each read the op's own output
             assert held() is None
-            backward(tz.tsum(tz.mul(y, c)))
+            backward(tsum(tz.mul(y, c)))
         # the same formulas in numpy, to the byte
         p = x.data @ w.data
         if op == "relu":
@@ -375,7 +375,7 @@ class TestWhatTheTapeKeeps:
         x = Tensor(a, requires_grad=True)
         with Tape(), np.errstate(invalid="ignore"):  # -inf * False is nan, and so is the loss
             y = tz.relu(x)
-            backward(tz.tsum(tz.mul(y, c)))
+            backward(tsum(tz.mul(y, c)))
             want = a * (a > 0)
         assert y.data.tobytes() == want.tobytes()
         assert x.grad.tobytes() == (c * (a > 0)).tobytes()
@@ -408,7 +408,7 @@ class TestLinear:
             with Tape() as tape:
                 y = op(x, w, b)
                 nodes = len(tape)
-                backward(tz.tsum(tz.mul(y, c)))
+                backward(tsum(tz.mul(y, c)))
             runs.append((nodes, [y.data, x.grad, w.grad, b.grad]))
         (nodes, got), (oracle_nodes, want) = runs
         assert (nodes, oracle_nodes) == (1, 2)
@@ -427,7 +427,7 @@ class TestGradientSharing:
         p = Tensor(np.ones(3), requires_grad=True)
         q = Tensor(np.zeros(3), requires_grad=True)
         with Tape():
-            backward(tz.tsum(tz.mul(tz.add(p, q), 4.0)))
+            backward(tsum(tz.mul(tz.add(p, q), 4.0)))
         shared = p.grad
         assert np.shares_memory(q.grad, shared)
         g = gather_grads([p, q])
@@ -446,7 +446,7 @@ class TestGradientSharing:
         c = rng.standard_normal((2, 3))
         for _ in range(2):
             with Tape():
-                backward(tz.tsum(tz.mul(tz.add(tz.add(p, p), b), c)))
+                backward(tsum(tz.mul(tz.add(tz.add(p, p), b), c)))
         assert np.shares_memory(p.grad, vec) and np.shares_memory(b.grad, vec)
         assert np.array_equal(vec, np.concatenate([[0.0], 4 * c.ravel(), 2 * c.sum(axis=0)]))
 
@@ -461,7 +461,7 @@ class TestGradientSharing:
         with Tape():
             h = tz.mul(p, 2.0)
             s = tz.add(h, q)
-            backward(tz.tsum(tz.mul(tz.add(s, h), c)))
+            backward(tsum(tz.mul(tz.add(s, h), c)))
         assert np.array_equal(q.grad, c)
         assert np.array_equal(vec, 4 * c)
 
@@ -471,7 +471,7 @@ class TestGradientSharing:
         m = Tensor(rng.standard_normal((4, 2)))
         left = Tensor(rng.standard_normal((2, 3)))
         with Tape():
-            backward(tz.tsum(tz.matmul(left, tz.matmul(tz.mul(c, x), m))))
+            backward(tsum(tz.matmul(left, tz.matmul(tz.mul(c, x), m))))
         assert x.grad is not None
         assert c.grad is None and m.grad is None and left.grad is None
 
@@ -481,15 +481,15 @@ class TestMiscOps:
         x = Tensor(rng.standard_normal((3, 4)) + 2.0, requires_grad=True)
         y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
-        check_grad(lambda: tz.tsum(tz.mul(sub(tz.add(x, y), tz.mul(x, y)), c)), [x, y])
-        check_grad(lambda: tz.tsum(tz.mul(tz.sigmoid(x), c)), [x])
-        check_grad(lambda: tz.tsum(tz.mul(tz.relu(y), c)), [y], tol=1e-5)
+        check_grad(lambda: tsum(tz.mul(sub(tz.add(x, y), tz.mul(x, y)), c)), [x, y])
+        check_grad(lambda: tsum(tz.mul(tz.sigmoid(x), c)), [x])
+        check_grad(lambda: tsum(tz.mul(tz.relu(y), c)), [y], tol=1e-5)
 
     def test_broadcast_add_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         c = rng.standard_normal((3, 4))
-        check_grad(lambda: tz.tsum(tz.mul(tz.add(x, b), c)), [x, b])
+        check_grad(lambda: tsum(tz.mul(tz.add(x, b), c)), [x, b])
 
     def test_concat_slice_reshape_grads(self, rng):
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -498,7 +498,7 @@ class TestMiscOps:
 
         def build():
             cat = tz.concat([x, y], axis=0)
-            return tz.add(tz.tsum(tz.mul(cat, c)), tz.tsum(x[0:1, :]))
+            return tz.add(tsum(tz.mul(cat, c)), tsum(x[0:1, :]))
 
         check_grad(build, [x, y])
 
@@ -507,8 +507,8 @@ class TestMiscOps:
         g = Tensor(rng.standard_normal(6), requires_grad=True)
         b = Tensor(rng.standard_normal(6), requires_grad=True)
         c = rng.standard_normal((3, 6))
-        check_grad(lambda: tz.tsum(tz.mul(tz.layer_norm(x, g, b), c)), [x, g, b], tol=1e-5)
-        check_grad(lambda: tz.tsum(tz.mul(tmean(x, axis=1, keepdims=True), c[:, :1])), [x])
+        check_grad(lambda: tsum(tz.mul(tz.layer_norm(x, g, b), c)), [x, g, b], tol=1e-5)
+        check_grad(lambda: tsum(tz.mul(tmean(x, axis=1, keepdims=True), c[:, :1])), [x])
 
     def test_mse_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -518,7 +518,7 @@ class TestMiscOps:
     def test_transpose_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         c = rng.standard_normal((5, 3))
-        check_grad(lambda: tz.tsum(tz.mul(transpose(x), c)), [x])
+        check_grad(lambda: tsum(tz.mul(transpose(x), c)), [x])
 
     def test_finite_forward(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 100)
@@ -537,20 +537,20 @@ class TestRepeatedIndex:
     def test_repeated_rows_add(self, key, want):
         x = Tensor(np.arange(3.0), requires_grad=True)
         with Tape():
-            backward(tz.tsum(x[key]))
+            backward(tsum(x[key]))
         assert x.grad.tolist() == want
 
     def test_2d_key_adds_per_row(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
         with Tape():
-            backward(tz.tsum(x[np.array([[0, 1], [1, 2]])]))
+            backward(tsum(x[np.array([[0, 1], [1, 2]])]))
         assert x.grad.tolist() == [[1, 1], [2, 2], [1, 1]]
 
     def test_repeated_key_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         key = np.array([[0, 2], [2, -1]])
         c = rng.standard_normal((2, 2, 4))
-        check_grad(lambda: tz.tsum(tz.mul(x[key], c)), [x])
+        check_grad(lambda: tsum(tz.mul(x[key], c)), [x])
 
 
 def index_arrays(n: int, shapes=((1,), (4,), (2, 3))):
@@ -585,7 +585,7 @@ class TestSliceGradient:
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
         c = rng.standard_normal(x.data[key].shape)
         with Tape():
-            backward(tz.tsum(tz.mul(x[key], c)))
+            backward(tsum(tz.mul(x[key], c)))
         want = np.zeros(shape)
         np.add.at(want, key, c)
         assert np.array_equal(x.grad, want)
@@ -619,6 +619,6 @@ class TestTapeLifetime:
     def test_backward_needs_the_active_tape(self):
         x = Tensor([1.0], requires_grad=True)
         with Tape():
-            loss = tz.tsum(tz.mul(x, x))
+            loss = tsum(tz.mul(x, x))
         with pytest.raises(ContractError):
             backward(loss)
